@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -83,8 +84,15 @@ def _parse_matrix(arg: str) -> IntMatrix:
     try:
         rows = json.loads(_read_source(arg))
         return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, PreconditionError) as exc:
         raise _ParseExit(f"cannot parse matrix from {arg!r}: {exc}")
+
+
+def _writable(path: str) -> bool:
+    if os.path.exists(path):
+        return os.path.isfile(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 def _int_env(name: str, default: int) -> int:
@@ -153,6 +161,8 @@ def cmd_stable(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise _ParseExit(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     report = check_axioms(_evaluator(args.length), sample_budget=args.samples,
                           tolerance=args.tolerance, seed=args.seed)
     _emit({"command": "axioms", "length": args.length,
@@ -169,6 +179,8 @@ def cmd_ball(args) -> int:
         group = SdpGroup(SdpContext(_parse_matrix(args.matrix)))
     else:
         raise _ParseExit(f"unknown group {args.group!r}")
+    if args.out and not _writable(args.out):
+        raise PreconditionError(f"cannot write CSV output to {args.out!r}")
     table = bfs_ball(group, args.radius, budget=_budget())
     if args.out:
         table.to_csv(args.out)

@@ -8,9 +8,8 @@ symmetric generating sets.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Optional, Sequence
+from typing import Dict, Iterator, Optional
 
 from .errors import PreconditionError, ResourceExhausted
 from .matrices import IntMatrix
@@ -69,23 +68,6 @@ class HeisElem:
 HEIS_A = HeisElem(1, 0, 0)
 HEIS_B = HeisElem(0, 1, 0)
 HEIS_C = HeisElem(0, 0, 1)  # the central commutator a^-1 b^-1 a b
-
-
-def heis_mul(g: HeisElem, h: HeisElem) -> HeisElem:
-    return g * h
-
-
-def heis_inv(g: HeisElem) -> HeisElem:
-    return g.inverse()
-
-
-def heis_conj(g: HeisElem, h: HeisElem) -> HeisElem:
-    """h g h^-1."""
-    return g.conjugate_by(h)
-
-
-def heis_pow(g: HeisElem, k: int) -> HeisElem:
-    return g.pow_(k)
 
 
 def parse_heis(text: str) -> HeisElem:
@@ -166,23 +148,6 @@ class SdpElem:
     @property
     def key(self) -> Key:
         return (*self.v, self.t)
-
-
-def sdp_mul(g: SdpElem, h: SdpElem) -> SdpElem:
-    return g * h
-
-
-def sdp_inv(g: SdpElem) -> SdpElem:
-    return g.inverse()
-
-
-def sdp_conj(g: SdpElem, h: SdpElem) -> SdpElem:
-    """h g h^-1."""
-    return g.conjugate_by(h)
-
-
-def sdp_pow(g: SdpElem, k: int) -> SdpElem:
-    return g.pow_(k)
 
 
 def parse_sdp(text: str, ctx: SdpContext) -> SdpElem:

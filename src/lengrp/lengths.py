@@ -16,6 +16,7 @@ from math import gcd, isqrt
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import mpmath
+from mpmath.libmp import NoConvergence
 
 from .errors import (
     LengrpError,
@@ -34,6 +35,7 @@ from .groups import (
 )
 from .matrices import IntMatrix, char_poly
 from .polynomials import (
+    IntPolynomial,
     half_trace_transform,
     has_unit_circle_eigenvalue,
     self_reciprocal_part,
@@ -449,15 +451,18 @@ def _mp_nullspace(m: list[list], threshold) -> list[list]:
     return basis
 
 
-def _unit_circle_eigenvalue(a: IntMatrix, dps: int):
-    p = char_poly(a)
+def _unit_circle_eigenvalue(p: IntPolynomial, dps: int):
+    """A modulus-one root of the characteristic polynomial p."""
     if p(1) == 0:
         return mpmath.mpf(1)
     if p(-1) == 0:
         return mpmath.mpf(-1)
     r = self_reciprocal_part(p)
     q = squarefree_part(half_trace_transform(r))
-    roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(q.coeffs)], maxsteps=200)
+    try:
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(q.coeffs)], maxsteps=200)
+    except NoConvergence as exc:
+        raise NumericalDegeneracyError(f"unit-circle eigenvalue did not converge: {exc}") from exc
     tol = mpmath.mpf(10) ** (-(dps // 2))
     real_roots = sorted(
         float(z.real) for z in (mpmath.mpc(z) for z in roots)
@@ -482,7 +487,7 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
         raise PreconditionError("matrix has no eigenvalue of modulus one")
     n = a.n
     with mpmath.workdps(dps):
-        lam = _unit_circle_eigenvalue(a, dps)
+        lam = _unit_circle_eigenvalue(p, dps)
         threshold = mpmath.mpf(10) ** (-(dps // 2))
         m_right = [[mpmath.mpc(a.rows[i][j]) - (lam if i == j else 0) for j in range(n)]
                    for i in range(n)]
@@ -498,7 +503,10 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
         for i in range(k):
             for j in range(k):
                 pairing[i, j] = sum(left[i][t] * right[j][t] for t in range(n))
-        if abs(mpmath.det(pairing)) < threshold:
+        # |det| from QR: mpmath's LU (hence mpmath.det) fails on an exactly
+        # singular pairing instead of returning 0
+        _, upper = mpmath.qr(pairing)
+        if abs(mpmath.fprod(upper[i, i] for i in range(k))) < threshold:
             raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
         inv = pairing ** -1
         proj = [[sum(right[jj][i] * inv[jj, ii] * left[ii][j]

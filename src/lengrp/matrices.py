@@ -7,11 +7,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
-from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd, _fp_trim
+from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd, cyclotomic_order, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -198,9 +197,7 @@ def minimal_poly(a: IntMatrix) -> IntPolynomial:
 
 def is_diagonalizable(a: IntMatrix) -> bool:
     """Diagonalizable over C iff the minimal polynomial is squarefree."""
-    m = minimal_poly(a)
-    g = _fp_gcd([Fraction(c) for c in m.coeffs], [Fraction(c) for c in m.derivative().coeffs])
-    return len(_fp_trim(g)) == 1
+    return is_squarefree(minimal_poly(a))
 
 
 def _euler_phi_prime_power(p: int, a: int) -> int:
@@ -248,10 +245,11 @@ def torsion_order_candidates(n: int) -> list[int]:
 
 
 def finite_order(a: IntMatrix) -> Optional[int]:
-    """Least k >= 1 with A^k = I, or None if A has infinite order."""
+    """Least k >= 1 with A^k = I, or None if A has infinite order.
+
+    A^k = I iff the minimal polynomial divides x^k - 1, so the order is the
+    cyclotomic order of the minimal polynomial (Kronecker: no matrix powers).
+    """
     if abs(a.det()) != 1:
         raise PreconditionError("finite order is asked of GL_n(Z) matrices only")
-    for m in torsion_order_candidates(a.n):
-        if a.mat_pow(m).is_identity:
-            return m
-    return None
+    return cyclotomic_order(minimal_poly(a))

@@ -2,16 +2,16 @@
 
 Carries the polynomial side of the spectral machinery: Sturm-sequence real
 root counting, the palindromic factor that holds all unit-circle roots, the
-x + 1/x change of variable, and irreducibility over Q.
+x + 1/x change of variable, cyclotomic factorization, and irreducibility
+over Q.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence, Union
-
-import sympy
+from functools import lru_cache
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import PreconditionError
 
@@ -163,6 +163,11 @@ def _fp_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:
 # -- squarefree part, Sturm counting -------------------------------------
 
 
+def is_squarefree(p: IntPolynomial) -> bool:
+    """True iff p has no repeated root over C, i.e. gcd(p, p') is constant."""
+    return len(_fp_gcd(_fp(p), _fp(p.derivative()))) == 1
+
+
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient."""
     if p.is_zero:
@@ -270,6 +275,72 @@ def has_unit_circle_eigenvalue(p: IntPolynomial) -> bool:
     return sturm_count(qs, Fraction(-2), Fraction(2)) > 0
 
 
+# -- cyclotomic factors --------------------------------------------------
+
+
+def _totient(k: int) -> int:
+    phi, rest, p = k, k, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            phi -= phi // p
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if rest > 1:
+        phi -= phi // rest
+    return phi
+
+
+def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by monic b over Z, constant term first."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        coef = a[shift + len(b) - 1]
+        if coef:
+            q[shift] = coef
+            for i, bc in enumerate(b):
+                a[shift + i] -= coef * bc
+    return q, _fp_trim(a[: len(b) - 1])
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_poly(k: int) -> tuple[int, ...]:
+    """Coefficients of the k-th cyclotomic polynomial, constant term first:
+    x^k - 1 divided by every Phi_d with d a proper divisor of k."""
+    num = [-1] + [0] * (k - 1) + [1]
+    for d in range(1, k):
+        if k % d == 0:
+            num, _ = _divmod_monic(num, _cyclotomic_poly(d))
+    return tuple(num)
+
+
+def cyclotomic_order(m: IntPolynomial) -> Optional[int]:
+    """Least N with m | x^N - 1, or None if there is none.
+
+    m divides x^N - 1 iff m is a product of distinct cyclotomic polynomials
+    Phi_k with k | N, so N is the lcm of those k.  Each Phi_k dividing m has
+    phi(k) <= deg m, and phi(k) >= sqrt(k/2) bounds the k to try by
+    2 (deg m)^2.  Exact integer division throughout.
+    """
+    if m.degree < 0:
+        raise PreconditionError("cyclotomic order of the zero polynomial")
+    rest, order = list(m.coeffs), 1
+    for k in range(1, 2 * m.degree ** 2 + 1):
+        if len(rest) == 1:
+            break
+        if _totient(k) >= len(rest):
+            continue
+        phi = _cyclotomic_poly(k)
+        q, r = _divmod_monic(rest, phi)
+        if r:
+            continue
+        if not _divmod_monic(q, phi)[1]:
+            return None  # repeated factor
+        rest, order = q, lcm(order, k)
+    return order if rest == [1] else None
+
+
 # -- irreducibility over Q -----------------------------------------------
 
 
@@ -311,5 +382,7 @@ def is_irreducible(p: IntPolynomial) -> bool:
     if p.degree <= 3:
         # any factorization of a degree-2/3 polynomial has a linear factor
         return True
+    import sympy  # deferred: about 0.4 s to import, needed only here
+
     x = sympy.Symbol("x")
     return bool(sympy.Poly(list(reversed(p.coeffs)), x).is_irreducible)

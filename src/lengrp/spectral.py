@@ -11,8 +11,13 @@ from dataclasses import dataclass
 from typing import Literal, Optional
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, char_poly, finite_order, is_diagonalizable
-from .polynomials import has_unit_circle_eigenvalue, is_irreducible
+from .matrices import IntMatrix, char_poly, minimal_poly
+from .polynomials import (
+    cyclotomic_order,
+    has_unit_circle_eigenvalue,
+    is_irreducible,
+    is_squarefree,
+)
 
 TriState = Literal["yes", "no", "indeterminate"]
 
@@ -47,12 +52,16 @@ def classify_sdp(a: IntMatrix) -> SpectralReport:
     Tri-state fields stay "indeterminate" exactly where none of the
     implemented criteria applies (e.g. a reducible twist with unit-circle
     spectrum).
+
+    One exact spectral pass: every field comes from the characteristic and
+    the minimal polynomial, each computed once.
     """
     if abs(a.det()) != 1:
         raise PreconditionError("classification needs |det A| = 1")
-    order = finite_order(a)
     cp = char_poly(a)
-    diag = is_diagonalizable(a)
+    mp = minimal_poly(a)
+    order = cyclotomic_order(mp)
+    diag = is_squarefree(mp)
     irr = is_irreducible(cp)
     unit = has_unit_circle_eigenvalue(cp)
 

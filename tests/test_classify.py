@@ -11,6 +11,7 @@ from lengrp.classify import (
 from lengrp.errors import PreconditionError
 from lengrp.matrices import IntMatrix
 
+from test_lengths import DEROGATORY
 from test_matrices import CONNER, HYPERBOLIC, JORDAN, ROTATION, random_glz
 
 
@@ -123,3 +124,11 @@ def test_json_schema():
     assert set(payload) == {"matrix", "report", "verdicts", "evidence"}
     assert payload["matrix"] == [[0, -1], [1, 0]]
     assert all(set(v) == {"claim", "lemma"} for v in payload["verdicts"])
+
+
+def test_derogatory_dossier_full_records_seminorm_error():
+    p = IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [1, 0, 2]])
+    for a in (DEROGATORY, p @ DEROGATORY @ p.inverse()):
+        d = build_dossier(a, "full", k_max=4, max_radius=8)
+        assert d.report.finite_order is None and not d.report.diagonalizable
+        assert "defective" in d.evidence["eigen_seminorm"]["error"]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from lengrp.cli import main
 
@@ -118,3 +121,34 @@ def test_deterministic_output(capsys):
     _, second, _ = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]",
                        "--evidence", "estimates", "--k-max", "4", "--radius", "8")
     assert first == second
+
+
+def test_malformed_matrix_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "classify", "--matrix", "[[1,2,3]]")
+    assert code == 1 and "parse" in err and out == ""
+
+
+def test_axioms_rejects_nan_tolerance(capsys):
+    code, out, _ = run(capsys, "axioms", "--length", "wordlen", "--tolerance", "nan")
+    assert code == 1 and out == ""
+
+
+def test_axioms_rejects_negative_tolerance(capsys):
+    code, out, _ = run(capsys, "axioms", "--length", "swl", "--tolerance", "-0.5")
+    assert code == 1 and out == ""
+
+
+def test_ball_unwritable_output(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "x.csv"
+    code, out, err = run(capsys, "ball", "--radius", "40", "--out", str(missing))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_import_does_not_load_sympy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, lengrp; assert 'sympy' not in sys.modules, 'sympy imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -267,6 +267,30 @@ def test_unit_eigen_seminorm_errors():
         unit_eigen_seminorm(JORDAN)  # defective eigenvalue 1
 
 
+DEROGATORY = IntMatrix.from_rows([[1, 0, 0], [1, 1, 1], [0, 0, 1]])  # J_2(1) + (1)
+
+
+def test_unit_eigen_seminorm_derogatory_unipotent():
+    # eigenvalue 1 has a 2-dimensional eigenspace but is defective, so the
+    # left/right eigenvector pairing is exactly singular
+    p = IntMatrix.from_rows([[1, 1, 0], [0, 1, -1], [0, 0, 1]])
+    for a in (DEROGATORY, p @ DEROGATORY @ p.inverse()):
+        with pytest.raises(NumericalDegeneracyError):
+            unit_eigen_seminorm(a)
+
+
+def test_unit_eigen_seminorm_root_finder_failure(monkeypatch):
+    import mpmath
+    from mpmath.libmp import NoConvergence
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("polyroots did not converge")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+    with pytest.raises(NumericalDegeneracyError):
+        unit_eigen_seminorm(CONNER)
+
+
 def test_domination_word_length():
     samples = [HeisElem(1, 1, 0), HeisElem(2, 1, 3), HeisElem(0, 0, 2), HeisElem(3, -2, 1)]
     report = stable_norm_domination_check(word_length_evaluator(), samples)

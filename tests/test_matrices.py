@@ -1,7 +1,10 @@
 import random
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lengrp.errors import PreconditionError
 from lengrp.matrices import (
@@ -154,3 +157,111 @@ def test_finite_order_conjugation_invariant():
             u = random_glz(rng)
             conj = u @ base @ u.inverse()
             assert finite_order(conj) == order
+
+
+# -- property tests against brute force ------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=120, derandomize=True, database=None,
+                             deadline=None)
+X = sympy.Symbol("x")
+
+
+def brute_force_order(a):
+    """Least k up to the largest possible torsion order with A^k = I."""
+    p = a
+    for k in range(1, max(torsion_order_candidates(a.n)) + 1):
+        if p.is_identity:
+            return k
+        p = p @ a
+    return None
+
+
+def radical_annihilates(a):
+    """Diagonalizable over C iff the product of the distinct irreducible
+    factors of the characteristic polynomial vanishes at A."""
+    cp = sympy.Poly(list(reversed(char_poly(a).coeffs)), X)
+    radical = sympy.Poly(sympy.sqf_part(cp), X)
+    acc = IntMatrix.from_rows([[0] * a.n] * a.n)
+    for c in radical.all_coeffs():  # Horner, leading coefficient first
+        acc = IntMatrix.from_rows(
+            [[x + (int(c) if i == j else 0) for j, x in enumerate(row)]
+             for i, row in enumerate((acc @ a).rows)])
+    return all(x == 0 for row in acc.rows for x in row)
+
+
+def companion(coeffs):
+    """Companion matrix of the monic polynomial with these coefficients
+    (constant term first, leading 1 omitted)."""
+    n = len(coeffs)
+    return [[(1 if i == j + 1 else 0) if j < n - 1 else -coeffs[i] for j in range(n)]
+            for i in range(n)]
+
+
+def block_diag(blocks):
+    n = sum(len(b) for b in blocks)
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(b)] = row
+        at += len(b)
+    return out
+
+
+def elementary(n, kind, i, j, c):
+    """A transvection E_ij(c), a row swap or a sign flip of row i."""
+    e = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+    if kind == "add":
+        e[i][j] = c
+    elif kind == "swap":
+        e[i], e[j] = e[j], e[i]
+    else:
+        e[i][i] = -1
+    return IntMatrix.from_rows(e)
+
+
+@st.composite
+def elementary_products(draw, n, max_steps):
+    m = IntMatrix.identity(n)
+    if n < 2:
+        return m
+    for _ in range(draw(st.integers(0, max_steps))):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        kind = draw(st.sampled_from(["add", "swap", "sign"]))
+        m = m @ elementary(n, kind, i, j, draw(st.sampled_from([-2, -1, 1, 2])))
+    return m
+
+
+# companion blocks of Phi_k for every k with phi(k) <= 8, from sympy;
+# k = 1 and k = 2 are the +-1 blocks
+CYCLOTOMIC_BLOCKS = [
+    companion([int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(k, X), X).all_coeffs())][:-1])
+    for k in range(1, 31) if sum(1 for t in range(1, k + 1) if gcd(t, k) == 1) <= 8
+]
+
+
+@st.composite
+def cyclotomic_block_twists(draw):
+    """P B P^-1 with B block-diagonal in cyclotomic companions, n <= 8."""
+    blocks = []
+    for block in draw(st.lists(st.sampled_from(CYCLOTOMIC_BLOCKS), min_size=1, max_size=8)):
+        if sum(map(len, blocks)) + len(block) <= 8:
+            blocks.append(block)
+    b = IntMatrix.from_rows(block_diag(blocks))
+    p = draw(elementary_products(b.n, 4))
+    return p @ b @ p.inverse()
+
+
+@PROPERTY_SETTINGS
+@given(cyclotomic_block_twists())
+def test_finite_order_matches_brute_force_on_cyclotomic_blocks(a):
+    assert finite_order(a) == brute_force_order(a)
+    assert finite_order(a) is not None
+    assert is_diagonalizable(a) == radical_annihilates(a)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 5).flatmap(lambda n: elementary_products(n, 8)))
+def test_finite_order_matches_brute_force_on_elementary_products(a):
+    assert finite_order(a) == brute_force_order(a)
+    assert is_diagonalizable(a) == radical_annihilates(a)

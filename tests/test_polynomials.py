@@ -8,21 +8,35 @@ import sympy
 from lengrp.errors import PreconditionError
 from lengrp.polynomials import (
     IntPolynomial,
+    cyclotomic_order,
     half_trace_transform,
     has_unit_circle_eigenvalue,
     is_irreducible,
+    is_squarefree,
     self_reciprocal_part,
     squarefree_part,
     sturm_count,
 )
 
 CONNER_CHAR = IntPolynomial((1, -2, 1, -2, 1))  # x^4 - 2x^3 + x^2 - 2x + 1
+LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))  # Salem, degree 10
 
 
 def cyclotomic(n):
     poly = sympy.polys.specialpolys.cyclotomic_poly(n, sympy.Symbol("x"))
     coeffs = sympy.Poly(poly).all_coeffs()
     return IntPolynomial(tuple(int(c) for c in reversed(coeffs)))
+
+
+def pmul(*polys):
+    out = (1,)
+    for p in polys:
+        prod = [0] * (len(out) + len(p.coeffs) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(p.coeffs):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return IntPolynomial(out)
 
 
 def test_canonical_form():
@@ -165,3 +179,40 @@ def test_irreducibility():
     assert not is_irreducible(IntPolynomial((1, 2, 2, 2, 1)))  # (x^2+1)(x+1)^2
     with pytest.raises(PreconditionError):
         is_irreducible(IntPolynomial((7,)))
+
+
+def test_is_squarefree():
+    assert is_squarefree(IntPolynomial((-1, 0, 1)))  # (x - 1)(x + 1)
+    assert not is_squarefree(IntPolynomial((1, -2, 1)))  # (x - 1)^2
+    assert is_squarefree(CONNER_CHAR)
+    assert is_squarefree(LEHMER)
+    assert not is_squarefree(pmul(LEHMER, LEHMER))
+    assert is_squarefree(IntPolynomial((1,)))
+
+
+def test_cyclotomic_order_goldens():
+    assert cyclotomic_order(pmul(cyclotomic(1), cyclotomic(2))) == 2
+    assert cyclotomic_order(pmul(cyclotomic(2), cyclotomic(3))) == 6
+    # the order-6 element [[0, -1], [1, 1]] of GL_2(Z) has polynomial Phi_6
+    assert cyclotomic_order(cyclotomic(6)) == 6
+    assert cyclotomic_order(pmul(cyclotomic(1), cyclotomic(1))) is None
+    assert cyclotomic_order(pmul(cyclotomic(5), cyclotomic(3), cyclotomic(5))) is None
+    assert cyclotomic_order(LEHMER) is None
+    assert cyclotomic_order(CONNER_CHAR) is None
+    assert cyclotomic_order(IntPolynomial((1, -3, 1))) is None
+    assert cyclotomic_order(IntPolynomial((2, 0, 1))) is None  # x^2 + 2
+    assert cyclotomic_order(IntPolynomial((1, 0, 2))) is None  # not monic
+    assert cyclotomic_order(pmul(cyclotomic(4), cyclotomic(6), cyclotomic(10))) == 60
+    with pytest.raises(PreconditionError):
+        cyclotomic_order(IntPolynomial((0,)))
+
+
+def test_cyclotomic_order_of_single_factors_and_binomials():
+    for k in range(1, 80):
+        assert cyclotomic_order(cyclotomic(k)) == k
+    # x^N - 1 is the product of Phi_d over all d | N, each once
+    for n in range(1, 40):
+        assert cyclotomic_order(IntPolynomial((-1,) + (0,) * (n - 1) + (1,))) == n
+    # x^N + 1 divides x^2N - 1 but not x^N - 1
+    for n in range(1, 40):
+        assert cyclotomic_order(IntPolynomial((1,) + (0,) * (n - 1) + (1,))) == 2 * n
