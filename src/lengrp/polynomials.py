@@ -3,14 +3,16 @@
 Carries the polynomial side of the spectral machinery: Sturm-sequence real
 root counting, the palindromic factor that holds all unit-circle roots, the
 x + 1/x change of variable, cyclotomic factorization, and irreducibility
-over Q.
+over Q (Zassenhaus, in exact integer arithmetic).
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import PreconditionError
@@ -371,8 +373,183 @@ def _has_rational_root(p: IntPolynomial) -> bool:
     return False
 
 
+# Polynomials over Z/m as int lists, constant term first, trimmed (zero is
+# []); m is a prime q or a prime power q^k, and every divisor is monic or has
+# a leading coefficient prime to q.
+
+
+def _mp_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _mp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _mp_trim([c % m for c in out])
+
+
+def _mp_sub(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
+    n = max(len(a), len(b))
+    return _mp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
+                     for i in range(n)])
+
+
+def _mp_divmod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
+    a = list(a)
+    inv, db = pow(b[-1], -1, m), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for shift in range(len(a) - len(b), -1, -1):
+        coef = a[shift + db] * inv % m
+        if coef:
+            q[shift] = coef
+            for i, bc in enumerate(b):  # reduced once, at the end
+                a[shift + i] -= coef * bc
+    return _mp_trim(q), _mp_trim([c % m for c in a[:db]])
+
+
+def _mp_monic(a: Sequence[int], m: int) -> list[int]:
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _mp_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
+    """Monic gcd over the field Z/q."""
+    a, b = _mp_trim([c % q for c in a]), _mp_trim([c % q for c in b])
+    while b:
+        a, b = b, _mp_divmod(a, b, q)[1]
+    return _mp_monic(a, q) if a else a
+
+
+def _mp_bezout(a: Sequence[int], b: Sequence[int], q: int) -> tuple[list[int], list[int]]:
+    """s, t with s*a + t*b = 1 over Z/q, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = list(a), list(b), [1], [], [], [1]
+    while r1:
+        quo, rem = _mp_divmod(r0, r1, q)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _mp_sub(s0, _mp_mul(quo, s1, q), q)
+        t0, t1 = t1, _mp_sub(t0, _mp_mul(quo, t1, q), q)
+    inv = pow(r0[0], -1, q)
+    return [c * inv % q for c in s0], [c * inv % q for c in t0]
+
+
+def _mp_powmod(a: Sequence[int], e: int, f: Sequence[int], q: int) -> list[int]:
+    """a^e mod f over Z/q, deg f >= 1."""
+    result, base = [1], _mp_divmod(a, f, q)[1]
+    while e:
+        if e & 1:
+            result = _mp_divmod(_mp_mul(result, base, q), f, q)[1]
+        e >>= 1
+        if e:
+            base = _mp_divmod(_mp_mul(base, base, q), f, q)[1]
+    return result
+
+
+def _distinct_degree(f: list[int], q: int) -> list[tuple[list[int], int]]:
+    """Pairs (g, d): g the product of the irreducible factors of degree d of
+    the monic squarefree f over Z/q, one pair per d that occurs."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _mp_powmod(h, q, f, q)  # x^(q^d) mod f
+        g = _mp_gcd(f, _mp_sub(h, [0, 1], q), q)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _mp_divmod(f, g, q)[0]
+            h = _mp_divmod(h, f, q)[1]
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(g: list[int], d: int, q: int, rng: random.Random) -> list[list[int]]:
+    """Monic irreducible factors of g, a product of distinct irreducibles of
+    degree d over Z/q with q odd (Cantor-Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _mp_trim([rng.randrange(q) for _ in range(len(g) - 1)])
+        if len(a) < 2:
+            continue
+        b = _mp_gcd(g, _mp_sub(_mp_powmod(a, (q ** d - 1) // 2, g, q), [1], q), q)
+        if 1 < len(b) < len(g):
+            return (_equal_degree(b, d, q, rng)
+                    + _equal_degree(_mp_divmod(g, b, q)[0], d, q, rng))
+
+
+def _hensel_lift(f: list[int], factors: list[list[int]], q: int, k: int) -> list[list[int]]:
+    """Monic G_i over Z/q^k, G_i = factors[i] mod q and f = lc(f) * prod G_i
+    mod q^k, for f = lc(f) * prod factors mod q with distinct monic factors.
+
+    Splits the factors in two halves, lifts that split one power of q at a
+    time, then recurses into each half."""
+    if len(factors) == 1:
+        return [_mp_monic(f, q ** k)]
+    half = len(factors) // 2
+    a, b = [1], [1]
+    for g in factors[:half]:
+        a = _mp_mul(a, g, q)
+    for g in factors[half:]:
+        b = _mp_mul(b, g, q)
+    s, t = _mp_bezout(a, b, q)
+    lead_inv = pow(f[-1], -1, q)
+    big_a, big_b, mod = a, b, q
+    for _ in range(k - 1):
+        # f - lead * A * B vanishes mod q^j; its next q-adic digit, over lead
+        prod = _mp_mul(_mp_mul(big_a, big_b, mod * q), [f[-1]], mod * q)
+        err = _mp_sub(f, prod, mod * q)
+        err = _mp_trim([(c // mod) * lead_inv % q for c in err])
+        d_a = _mp_divmod(_mp_mul(t, err, q), a, q)[1]
+        d_b = _mp_divmod(_mp_sub(err, _mp_mul(d_a, b, q), q), a, q)[0]
+        big_a = _mp_trim([c + mod * (d_a[i] if i < len(d_a) else 0)
+                          for i, c in enumerate(big_a)])
+        big_b = _mp_trim([c + mod * (d_b[i] if i < len(d_b) else 0)
+                          for i, c in enumerate(big_b)])
+        mod *= q
+    return _hensel_lift(big_a, factors[:half], q, k) + _hensel_lift(big_b, factors[half:], q, k)
+
+
+def _int_divides(g: Sequence[int], f: Sequence[int]) -> bool:
+    """True iff the integer polynomial g divides f in Z[x]."""
+    rest = list(f)
+    for shift in range(len(f) - len(g), -1, -1):
+        coef, r = divmod(rest[shift + len(g) - 1], g[-1])
+        if r:
+            return False
+        if coef:
+            for i, gc in enumerate(g):
+                rest[shift + i] -= coef * gc
+    return not any(rest)
+
+
+def _odd_primes() -> Iterable[int]:
+    q = 3
+    while True:
+        if all(q % d for d in range(3, isqrt(q) + 1, 2)):
+            yield q
+        q += 2
+
+
+# good primes whose factorization degrees are intersected before lifting
+_DEGREE_PRIMES = 5
+
+
 def is_irreducible(p: IntPolynomial) -> bool:
-    """Irreducibility of p over Q (equivalently over Z, p being primitive)."""
+    """Irreducibility of p over Q (equivalently over Z, p being primitive).
+
+    Zassenhaus: the degrees of the factors modulo a few primes q (not
+    dividing the leading coefficient, p squarefree mod q) bound the degrees a
+    rational factor can have; when that leaves none strictly between 0 and
+    deg p, p is irreducible.  Otherwise the factors modulo the prime with the
+    fewest are lifted to q^k beyond twice the Mignotte bound, and every
+    product of at most half of them is tried as an exact divisor.
+    """
     if p.degree < 1:
         raise PreconditionError("constant polynomial")
     if p.degree == 1:
@@ -382,7 +559,54 @@ def is_irreducible(p: IntPolynomial) -> bool:
     if p.degree <= 3:
         # any factorization of a degree-2/3 polynomial has a linear factor
         return True
-    import sympy  # deferred: about 0.4 s to import, needed only here
-
-    x = sympy.Symbol("x")
-    return bool(sympy.Poly(list(reversed(p.coeffs)), x).is_irreducible)
+    f, n = list(p.coeffs), p.degree
+    allowed = (1 << (n + 1)) - 1  # bit d set: a factor of degree d is possible
+    best, good, squarefree_checked = None, 0, False
+    for q in _odd_primes():
+        if f[-1] % q == 0:
+            continue
+        fq = _mp_monic([c % q for c in f], q)
+        deriv = _mp_trim([k * c % q for k, c in enumerate(fq)][1:])
+        if len(_mp_gcd(fq, deriv, q)) > 1:
+            # a repeated factor over Q repeats modulo every q: rule it out once
+            if not good and not squarefree_checked:
+                if not is_squarefree(p):
+                    return False
+                squarefree_checked = True
+            continue
+        blocks = _distinct_degree(fq, q)
+        sums, count = 1, 0
+        for g, d in blocks:
+            for _ in range((len(g) - 1) // d):
+                sums |= sums << d
+            count += (len(g) - 1) // d
+        allowed &= sums
+        if allowed == 1 | 1 << n:
+            return True
+        if best is None or count < best[0]:
+            best = (count, q, blocks)
+        good += 1
+        if good == _DEGREE_PRIMES:
+            break
+    _, q, blocks = best
+    rng = random.Random(0)
+    factors = [h for g, d in blocks for h in _equal_degree(g, d, q, rng)]
+    bound = (isqrt(n + 1) + 1) * 2 ** n * max(abs(c) for c in f) * f[-1]
+    k = 1
+    while q ** k <= 2 * bound:
+        k += 1
+    mod = q ** k
+    lifted = _hensel_lift(f, factors, q, k)
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            if not allowed >> sum(len(g) - 1 for g in subset) & 1:
+                continue
+            g = [f[-1] % mod]
+            for h in subset:
+                g = _mp_mul(g, h, mod)
+            g = [c - mod if 2 * c > mod else c for c in g]
+            cont = _content(g)
+            g = [c // cont for c in g]
+            if g[0] and f[0] % g[0] == 0 and _int_divides(g, f):
+                return False
+    return True

@@ -152,3 +152,14 @@ def test_import_does_not_load_sympy():
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = "import sys, lengrp; assert 'sympy' not in sys.modules, 'sympy imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_classify_does_not_load_sympy():
+    """Irreducibility of a quartic without a rational root needs no sympy."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys; from lengrp.cli import main; "
+            "assert main(['classify', '--matrix', '[[0,0,0,-1],[1,0,0,2],[0,1,0,-1],[0,0,1,2]]']) == 0; "
+            "assert 'sympy' not in sys.modules, 'sympy imported'")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lengrp.errors import PreconditionError
 from lengrp.polynomials import (
@@ -179,6 +181,53 @@ def test_irreducibility():
     assert not is_irreducible(IntPolynomial((1, 2, 2, 2, 1)))  # (x^2+1)(x+1)^2
     with pytest.raises(PreconditionError):
         is_irreducible(IntPolynomial((7,)))
+
+
+def test_irreducibility_without_a_rational_root():
+    # reducible modulo every prime, irreducible over Q
+    assert is_irreducible(IntPolynomial((1, 0, 0, 0, 1)))  # x^4 + 1
+    assert is_irreducible(IntPolynomial((1, 0, -10, 0, 1)))  # minimal poly of sqrt2 + sqrt3
+    assert is_irreducible(IntPolynomial((576, 0, -960, 0, 352, 0, -40, 0, 1)))
+    assert is_irreducible(LEHMER)
+    for k in (5, 7, 8, 9, 12, 15, 16, 20, 24, 30):
+        assert is_irreducible(cyclotomic(k))
+    # products of factors of degree >= 2, monic and not
+    assert not is_irreducible(pmul(cyclotomic(4), cyclotomic(3)))
+    assert not is_irreducible(pmul(cyclotomic(8), cyclotomic(12)))
+    assert not is_irreducible(pmul(IntPolynomial((1, 0, 2)), IntPolynomial((1, 1, 3))))
+    assert not is_irreducible(pmul(CONNER_CHAR, LEHMER))
+    assert not is_irreducible(pmul(IntPolynomial((1, 0, 0, 0, 1)),
+                                   IntPolynomial((1, 0, -10, 0, 1))))
+    assert not is_irreducible(pmul(cyclotomic(5), cyclotomic(5)))  # repeated factor
+
+
+@st.composite
+def int_polys(draw, min_degree, max_degree):
+    deg = draw(st.integers(min_degree, max_degree))
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=deg, max_size=deg))
+    return IntPolynomial(tuple(coeffs) + (draw(st.sampled_from([1, 1, 2, 3, 6])),))
+
+
+def sympy_irreducible(p):
+    return bool(sympy.Poly(list(reversed(p.coeffs)), sympy.Symbol("x")).is_irreducible)
+
+
+IRREDUCIBLE_SETTINGS = settings(max_examples=150, derandomize=True, database=None,
+                                deadline=None)
+
+
+@IRREDUCIBLE_SETTINGS
+@given(int_polys(1, 12))
+def test_irreducibility_matches_sympy(p):
+    assert is_irreducible(p) == sympy_irreducible(p)
+
+
+@IRREDUCIBLE_SETTINGS
+@given(st.lists(int_polys(2, 5), min_size=2, max_size=3))
+def test_irreducibility_of_products_matches_sympy(parts):
+    p = pmul(*parts)
+    assert not is_irreducible(p)
+    assert is_irreducible(p) == sympy_irreducible(p)
 
 
 def test_is_squarefree():
