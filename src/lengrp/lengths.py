@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isfinite, isqrt
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import mpmath
@@ -33,13 +33,16 @@ from .groups import (
     bfs_ball,
     bfs_word_length,
 )
-from .matrices import IntMatrix, char_poly
+from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
     IntPolynomial,
+    _fp,
+    _fp_gcd,
     half_trace_transform,
     has_unit_circle_eigenvalue,
     self_reciprocal_part,
     squarefree_part,
+    sturm_count,
 )
 
 Value = Union[int, Fraction, float]
@@ -417,116 +420,86 @@ def sqrt_bound_witness(length: LengthEvaluator, max_n: int) -> tuple[Fraction, F
 # -- eigenline projection seminorm ---------------------------------------
 
 
-def _mp_nullspace(m: list[list], threshold) -> list[list]:
-    """Basis of the nullspace of a small complex matrix, as column vectors."""
-    n = len(m)
-    rows = [list(row) for row in m]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv, piv_val = None, threshold
-        for i in range(r, n):
-            if abs(rows[i][c]) > piv_val:
-                piv, piv_val = i, abs(rows[i][c])
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(n):
-            if i != r:
-                f = rows[i][c]
-                if abs(f) > 0:
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [mpmath.mpc(0)] * n
-        vec[fc] = mpmath.mpc(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][fc]
-        basis.append(vec)
-    return basis
+def _unit_circle_eigenvalue(m: IntPolynomial) -> tuple[object, bool]:
+    """A modulus-one root lam of the minimal polynomial m, and whether it repeats.
 
-
-def _unit_circle_eigenvalue(p: IntPolynomial, dps: int):
-    """A modulus-one root of the characteristic polynomial p."""
-    if p(1) == 0:
-        return mpmath.mpf(1)
-    if p(-1) == 0:
-        return mpmath.mpf(-1)
-    r = self_reciprocal_part(p)
-    q = squarefree_part(half_trace_transform(r))
+    lam is 1, else -1, else (y0 + i*sqrt(4 - y0^2))/2 for the least root y0
+    in (-2, 2) of the squarefree half-trace polynomial q.  y0 comes from
+    polyroots at the working precision; a rational hi with exactly one root
+    of q in (-2, hi] (Sturm) isolates it.  lam repeats iff it is a root of
+    g = gcd(m, m'), decided exactly: g(+-1) = 0, or the half-trace
+    polynomial of g has a root in (-2, hi].
+    """
+    g = IntPolynomial.from_fractions(_fp_gcd(_fp(m), _fp(m.derivative())))
+    for t in (1, -1):
+        if m(t) == 0:
+            return mpmath.mpf(t), g(t) == 0
+    q = squarefree_part(half_trace_transform(self_reciprocal_part(m)))
     try:
         roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(q.coeffs)], maxsteps=200)
     except NoConvergence as exc:
         raise NumericalDegeneracyError(f"unit-circle eigenvalue did not converge: {exc}") from exc
-    tol = mpmath.mpf(10) ** (-(dps // 2))
-    real_roots = sorted(
-        float(z.real) for z in (mpmath.mpc(z) for z in roots)
-        if abs(z.imag) < tol and -2 < z.real < 2
-    )
-    if not real_roots:
+    count = sturm_count(q, -2, 2)
+    nearest_real = sorted((z for z in roots if -2 < mpmath.re(z) < 2),
+                          key=lambda z: abs(mpmath.im(z)))[:count]
+    ys = sorted(mpmath.re(z) for z in nearest_real)
+    hi = Fraction(str((ys[0] + ys[1]) / 2)) if count > 1 else Fraction(2)
+    if len(ys) != count or q(hi) == 0 or sturm_count(q, -2, hi) != 1:
         raise NumericalDegeneracyError("no refined unit-circle eigenvalue found")
-    y0 = mpmath.mpf(real_roots[0])
-    return mpmath.mpc(y0 / 2, mpmath.sqrt(4 - y0 * y0) / 2)
+    y0 = ys[0]
+    rg = self_reciprocal_part(g)
+    repeated = rg.degree > 0 and sturm_count(
+        squarefree_part(half_trace_transform(rg)), -2, hi) > 0
+    return mpmath.mpc(y0 / 2, mpmath.sqrt(4 - y0 * y0) / 2), repeated
+
+
+def _unit_eigen_projector(a: IntMatrix, dps: int):
+    """(lam, P): a modulus-one eigenvalue of A and the spectral projector onto its eigenspace.
+
+    With m = (x - lam)*r the minimal polynomial, P = r(A)/r(lam), exact
+    whenever lam is a simple root of m.  r(A) is summed over exact integer
+    powers of A, with guard digits for the size of those powers, so P has
+    about dps correct digits.
+    """
+    m = minimal_poly(a)
+    if not has_unit_circle_eigenvalue(m):
+        raise PreconditionError("matrix has no eigenvalue of modulus one")
+    powers = [IntMatrix.identity(a.n)]
+    for _ in range(m.degree - 1):
+        powers.append(powers[-1] @ a)
+    big = max(abs(x) for pw in powers for row in pw.rows for x in row)
+    guard = len(str(big * sum(abs(c) for c in m.coeffs)))
+    with mpmath.workdps(dps + guard):
+        lam, repeated = _unit_circle_eigenvalue(m)
+        if repeated:
+            raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
+        r, acc = [], 0  # m = (x - lam)*r by Horner, highest coefficient first
+        for c in reversed(m.coeffs[1:]):
+            acc = acc * lam + c
+            r.append(acc)
+        scale = 1 / mpmath.polyval(r, lam)
+        proj = mpmath.matrix([[scale * mpmath.fsum(c * pw.rows[i][j]
+                                                   for c, pw in zip(reversed(r), powers))
+                               for j in range(a.n)] for i in range(a.n)])
+    return lam, proj
 
 
 def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
-    """Seminorm v -> |projection of v onto a unit-circle eigenline|.
+    """Seminorm v -> |P v| / |P|_2 for the spectral projector P of a unit-circle eigenvalue.
 
-    The spectral projector P onto the eigenspace of a modulus-one eigenvalue
-    commutes with A and A acts on its range by a modulus-one scalar, so the
-    evaluator is invariant under v -> A v up to the working precision.
-    Scaled so the projector has operator norm 1.
+    The eigenvalue lam is chosen from the minimal polynomial m (see
+    _unit_circle_eigenvalue) and P = r(A)/r(lam) with m = (x - lam)*r.  P
+    commutes with A and A acts on its range by lam, |lam| = 1, so the value
+    is invariant under v -> A v.  lam, P and the operator norm (singular
+    values, mpmath.svd_c) carry about dps correct digits; values are
+    returned as floats.  Raises PreconditionError without a modulus-one
+    eigenvalue and NumericalDegeneracyError when lam is a repeated root of
+    m (A is not diagonalizable on that eigenvalue) or its root search fails.
     """
-    p = char_poly(a)
-    if not has_unit_circle_eigenvalue(p):
-        raise PreconditionError("matrix has no eigenvalue of modulus one")
+    lam, proj = _unit_eigen_projector(a, dps)
     n = a.n
     with mpmath.workdps(dps):
-        lam = _unit_circle_eigenvalue(p, dps)
-        threshold = mpmath.mpf(10) ** (-(dps // 2))
-        m_right = [[mpmath.mpc(a.rows[i][j]) - (lam if i == j else 0) for j in range(n)]
-                   for i in range(n)]
-        m_left = [[mpmath.mpc(a.rows[j][i]) - (lam if i == j else 0) for j in range(n)]
-                  for i in range(n)]
-        right = _mp_nullspace(m_right, threshold)
-        left = _mp_nullspace(m_left, threshold)
-        if not right or len(right) != len(left):
-            raise NumericalDegeneracyError("ill-conditioned eigenspace")
-        k = len(right)
-        # pairing uses the transpose (not conjugate): w^T A = lam w^T
-        pairing = mpmath.matrix(k, k)
-        for i in range(k):
-            for j in range(k):
-                pairing[i, j] = sum(left[i][t] * right[j][t] for t in range(n))
-        # |det| from QR: mpmath's LU (hence mpmath.det) fails on an exactly
-        # singular pairing instead of returning 0
-        _, upper = mpmath.qr(pairing)
-        if abs(mpmath.fprod(upper[i, i] for i in range(k))) < threshold:
-            raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
-        inv = pairing ** -1
-        proj = [[sum(right[jj][i] * inv[jj, ii] * left[ii][j]
-                     for jj in range(k) for ii in range(k))
-                 for j in range(n)] for i in range(n)]
-        # operator 2-norm via power iteration on P^H P; vec stays unit, so
-        # the norm of (P^H P) vec converges to the top singular value squared
-        vec = [mpmath.mpc(1) / mpmath.sqrt(n)] * n
-        sigma_sq = mpmath.mpf(1)
-        for _ in range(200):
-            pv = [sum(proj[i][j] * vec[j] for j in range(n)) for i in range(n)]
-            w = [sum(mpmath.conj(proj[j][i]) * pv[j] for j in range(n)) for i in range(n)]
-            nrm = mpmath.sqrt(sum(abs(x) ** 2 for x in w))
-            if nrm == 0:
-                sigma_sq = mpmath.mpf(1)
-                break
-            vec = [x / nrm for x in w]
-            sigma_sq = nrm
-        op_norm = mpmath.sqrt(sigma_sq)
-        proj_rows = [row[:] for row in proj]
+        op_norm = max(mpmath.svd_c(proj, compute_uv=False))
 
     def _to_mp(x):
         if isinstance(x, Fraction):
@@ -537,9 +510,7 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
         if len(v) != n:
             raise PreconditionError("dimension mismatch")
         with mpmath.workdps(dps):
-            vv = [_to_mp(x) for x in v]
-            pv = [sum(proj_rows[i][j] * vv[j] for j in range(n)) for i in range(n)]
-            return float(mpmath.sqrt(sum(abs(x) ** 2 for x in pv)) / op_norm)
+            return float(mpmath.norm(proj * mpmath.matrix([_to_mp(x) for x in v])) / op_norm)
 
     return LengthEvaluator(
         name="unit-eigen-seminorm",
@@ -698,9 +669,11 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
     """Property-check the three length-function axioms on random samples.
 
     Exact evaluators are compared with exact equality, numeric ones up to
-    the tolerance.  A failed verdict always carries a counterexample with
-    both side values.
+    the tolerance, which must be a finite number >= 0.  A failed verdict
+    always carries a counterexample with both side values.
     """
+    if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
+        raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
     rng = random.Random(seed)
     sampler = _make_sampler(length, rng, lattice_dim=lattice_dim, twist=twist,
                             coord_range=coord_range)

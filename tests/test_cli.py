@@ -163,3 +163,13 @@ def test_classify_does_not_load_sympy():
             "assert main(['classify', '--matrix', '[[0,0,0,-1],[1,0,0,2],[0,1,0,-1],[0,0,1,2]]']) == 0; "
             "assert 'sympy' not in sys.modules, 'sympy imported'")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def test_classify_full_evidence_rank_one_seminorm(capsys):
+    # companion of x^4 - x^3 - x^2 - 1, lambda = -1: every |P e_i| / |P| is 1/2
+    code, out, _ = run(capsys, "classify", "--matrix", "[[0,0,0,1],[1,0,0,0],[0,1,0,1],[0,0,1,1]]",
+                       "--evidence", "full", "--k-max", "2", "--radius", "6")
+    assert code == 0
+    values = json.loads(out)["dossier"]["evidence"]["eigen_seminorm"]["values"]
+    assert set(values) == {"e1", "e2", "e3", "e4"}
+    assert all(abs(v - 0.5) < 1e-12 for v in values.values())

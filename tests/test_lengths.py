@@ -1,7 +1,12 @@
 import random
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lengrp.errors import (
     NumericalDegeneracyError,
@@ -11,6 +16,7 @@ from lengrp.errors import (
 from lengrp.groups import HeisElem, HeisenbergGroup, bfs_ball
 from lengrp.lengths import (
     CoverageGap,
+    _unit_eigen_projector,
     HeisWordOracle,
     LengthEvaluator,
     blachere_word_length,
@@ -34,7 +40,16 @@ from lengrp.lengths import (
 )
 from lengrp.matrices import IntMatrix
 
-from test_matrices import CONNER, HYPERBOLIC, JORDAN
+from test_matrices import (
+    CONNER,
+    HYPERBOLIC,
+    JORDAN,
+    PROPERTY_SETTINGS,
+    X,
+    block_diag,
+    companion,
+    elementary_products,
+)
 
 
 def test_ceil_two_sqrt():
@@ -319,3 +334,120 @@ def test_closed_form_only_coverage_gap():
     assert L.evaluate(HeisElem(0, 0, 5)) == 2 * ceil_two_sqrt(5)
     with pytest.raises(CoverageGap):
         L.evaluate(HeisElem(2, 1, 2))
+
+
+# -- spectral projector behind the seminorm --------------------------------
+
+# x^4 - x^3 - x^2 - 1 = (x + 1)(x^3 - 2x^2 + x - 1): lambda = -1 with left
+# eigenvector (1, -1, 1, -1), orthogonal to the all-ones vector
+MINUS_ONE_QUARTIC = IntMatrix.from_rows(companion([-1, 0, -1, -1]))
+LEHMER = IntMatrix.from_rows(companion([1, 1, 0, -1, -1, -1, -1, -1, 0, 1]))
+ROTATION_PAIR = IntMatrix.from_rows(block_diag([[[0, -1], [1, 0]]] * 2))
+
+
+def unit_vectors(n):
+    return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+
+
+def test_unit_eigen_seminorm_rank_one_scaling():
+    # P = u w^T / (w^T u) has norm |u| |w| / |w^T u|, so |P e_i| / |P| = |w_i| / |w|
+    sem = unit_eigen_seminorm(MINUS_ONE_QUARTIC)
+    for e_i in unit_vectors(4):
+        assert sem.evaluate(e_i) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [CONNER, LEHMER, ROTATION_PAIR], ids=["conner", "lehmer", "rotations"])
+@pytest.mark.parametrize("dps", [15, 30, 60])
+def test_unit_eigen_projector_residuals_follow_dps(a, dps):
+    lam, p = _unit_eigen_projector(a, dps)
+    bound = mpmath.mpf(10) ** (5 - dps)
+    with mpmath.workdps(2 * dps):
+        am = mpmath.matrix(a.rows)
+        assert mpmath.mnorm(am * p - lam * p, 1) <= bound
+        assert mpmath.mnorm(p * p - p, 1) <= bound
+        assert abs(abs(lam) - 1) <= bound
+    sem = unit_eigen_seminorm(a, dps=dps)
+    assert all(sem.evaluate(e_i) > 1e-6 for e_i in unit_vectors(a.n))
+
+
+def test_unit_eigen_seminorm_repeated_unit_root():
+    # (x^2 + 1)^2: lambda = i is a double root of the minimal polynomial
+    with pytest.raises(NumericalDegeneracyError,
+                       match="^defective eigenvalue: eigenline pairing singular$"):
+        unit_eigen_seminorm(IntMatrix.from_rows(companion([1, 0, 2, 0])))
+    # (x^2 + 1)^2 (x^2 + x + 1): lambda = omega (least x + 1/x) is simple,
+    # although i is still defective
+    a = IntMatrix.from_rows(companion([1, 1, 3, 2, 3, 1]))
+    lam, p = _unit_eigen_projector(a, 30)
+    with mpmath.workdps(60):
+        assert abs(lam - mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)) < 1e-25
+        assert mpmath.mnorm(mpmath.matrix(a.rows) * p - lam * p, 1) < 1e-25
+    sem = unit_eigen_seminorm(a)
+    assert all(sem.evaluate(e_i) > 1e-6 for e_i in unit_vectors(6))
+
+
+# blocks as (coefficients constant term first, leading 1 omitted)
+UNIT_BLOCKS = [
+    [-1], [1], [1, 1], [1, 0], [1, -1], [1, 1, 1, 1], [1, 0, 0, 0], [1, 0, -1, 0],
+    [1, -1, -1, -1],  # Salem x^4 - x^3 - x^2 - x + 1
+    [-1, 0, -1, -1],  # (x + 1)(x^3 - 2x^2 + x - 1)
+    [1, -2], [1, 2], [1, 0, 2, 0], [1, 2, 3, 2],  # (x-1)^2, (x+1)^2, (x^2+1)^2, Phi_3^2
+]
+OTHER_BLOCKS = [[1, -3], [-1, -1], [-1, -1, 0]]
+
+
+@st.composite
+def unit_circle_twists(draw):
+    """(P B P^-1, blocks) with B block-diagonal in companions, one of them
+    with a unit-circle root, n <= 8."""
+    blocks = [draw(st.sampled_from(UNIT_BLOCKS))]
+    for block in draw(st.lists(st.sampled_from(UNIT_BLOCKS + OTHER_BLOCKS), max_size=4)):
+        if sum(map(len, blocks)) + len(block) <= 8:
+            blocks.append(block)
+    b = IntMatrix.from_rows(block_diag([companion(c) for c in blocks]))
+    p = draw(elementary_products(b.n, 4))
+    return p @ b @ p.inverse(), blocks
+
+
+def numpy_unit_eigenvalue(a):
+    """1, else -1, else the unit-circle eigenvalue with least real part and
+    positive imaginary part, from numpy eigenvalues."""
+    unit = [z for z in np.linalg.eigvals(np.array(a.rows, dtype=float)) if abs(abs(z) - 1) < 1e-4]
+    lam = next((complex(t) for t in (1, -1) if any(abs(z - t) < 1e-4 for z in unit)), None)
+    return lam if lam is not None else min((z for z in unit if z.imag > 0), key=lambda z: z.real)
+
+
+def numpy_seminorm(a, lam):
+    """|P e_i| / |P|_2 with P from numpy left and right eigenvectors of lam."""
+    m = np.array(a.rows, dtype=float)
+    w, v = np.linalg.eig(m)
+    wl, vl = np.linalg.eig(m.T)
+    right = v[:, np.abs(w - lam) < 1e-4]
+    left = vl[:, np.abs(wl - lam) < 1e-4]
+    p = right @ np.linalg.inv(left.T @ right) @ left.T
+    return [np.linalg.norm(p[:, i]) / np.linalg.norm(p, 2) for i in range(a.n)]
+
+
+@PROPERTY_SETTINGS
+@given(unit_circle_twists())
+def test_unit_eigen_seminorm_matches_numpy_reference(case):
+    a, blocks = case
+    lam = numpy_unit_eigenvalue(a)
+    # the minimal polynomial of a block-diagonal companion is the lcm of the blocks
+    m = sympy.lcm_list([X ** len(c) + sum(ck * X ** k for k, ck in enumerate(c)) for c in blocks])
+    _, factors = sympy.factor_list(m, X)
+    _, exponent = min(factors, key=lambda fe: abs(complex(fe[0].subs(X, lam))))
+    if exponent > 1:
+        with pytest.raises(NumericalDegeneracyError, match="defective"):
+            unit_eigen_seminorm(a)
+        return
+    sem = unit_eigen_seminorm(a)
+    got = [sem.evaluate(e_i) for e_i in unit_vectors(a.n)]
+    assert got == pytest.approx(numpy_seminorm(a, lam), abs=1e-8)
+
+
+def test_check_axioms_rejects_bad_tolerance():
+    for bad in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(PreconditionError):
+            check_axioms(word_length_evaluator(), 50, bad, 7)
+    assert check_axioms(lattice_swl_evaluator(), 50, 0.0, 7).all_passed
