@@ -8,7 +8,8 @@ tag strings below are part of the stable output schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 from .errors import (
     NumericalDegeneracyError,
@@ -17,8 +18,9 @@ from .errors import (
     ResourceExhausted,
 )
 from .groups import SdpContext, SdpElem, SdpGroup, bfs_word_length
-from .lengths import LengthEvaluator, stable_length_estimate, unit_eigen_seminorm
-from .matrices import IntMatrix
+from .lengths import LengthEvaluator, _eigenline_seminorm, stable_length_estimate
+from .matrices import IntMatrix, _annihilator_of_vector
+from .polynomials import IntPolynomial, vanishes_at
 from .spectral import SpectralReport, classify_sdp
 
 TAG_FINITE = "Lemma finite"
@@ -30,7 +32,7 @@ CLAIM_UNDECIDED = "not decided by this paper's lemmas"
 EVIDENCE_LEVELS = ("none", "estimates", "full")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     claim: str
     lemma: Optional[str]  # exactly one tag for decided claims, None otherwise
@@ -39,7 +41,7 @@ class Verdict:
         return {"claim": self.claim, "lemma": self.lemma}
 
 
-@dataclass
+@dataclass(slots=True)
 class ClassificationDossier:
     matrix: IntMatrix
     report: SpectralReport
@@ -55,23 +57,29 @@ class ClassificationDossier:
         }
 
 
+@lru_cache(maxsize=None)
+def _verdict(claim: str, lemma: Optional[str]) -> Verdict:
+    """Verdicts are immutable, so dossiers share one per claim."""
+    return Verdict(claim, lemma)
+
+
 def _verdicts_from_report(report: SpectralReport, n: int) -> list[Verdict]:
     out: list[Verdict] = []
     if report.finite_order is not None:
-        out.append(Verdict("virtually abelian (A finite order)", TAG_FINITE))
+        out.append(_verdict("virtually abelian (A finite order)", TAG_FINITE))
     else:
-        out.append(Verdict("no discrete purely positive length function", TAG_FINITE))
+        out.append(_verdict("no discrete purely positive length function", TAG_FINITE))
     if report.purely_positive_stable_word_length == "yes":
-        out.append(Verdict("purely positive (stable word length)", TAG_COROLLARY))
-        out.append(Verdict(
+        out.append(_verdict("purely positive (stable word length)", TAG_COROLLARY))
+        out.append(_verdict(
             "a conjugation-invariant seminorm is positive on the lattice",
             TAG_STABLEWORD,
         ))
     if report.vanishes_on_lattice == "yes":
-        out.append(Verdict(f"every length function vanishes on Z^{n}", TAG_NORM1))
+        out.append(_verdict(f"every length function vanishes on Z^{n}", TAG_NORM1))
     if ("indeterminate" in (report.purely_positive_stable_word_length,
                             report.vanishes_on_lattice)):
-        out.append(Verdict(CLAIM_UNDECIDED, None))
+        out.append(_verdict(CLAIM_UNDECIDED, None))
     return out
 
 
@@ -113,16 +121,16 @@ def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int,
     return table
 
 
-def _seminorm_table(a: IntMatrix) -> dict:
+def _seminorm_table(a: IntMatrix, m: IntPolynomial) -> dict:
     try:
-        sem = unit_eigen_seminorm(a)
+        root, sem = _eigenline_seminorm(a, m, 30)
     except (PreconditionError, NumericalDegeneracyError) as exc:
         return {"error": str(exc)}
-    values = {}
-    for i in range(a.n):
-        e_i = tuple(1 if j == i else 0 for j in range(a.n))
-        values[f"e{i + 1}"] = sem.evaluate(e_i)
-    return {"values": values, "all_positive": all(v > 1e-6 for v in values.values())}
+    basis = [tuple(1 if j == i else 0 for j in range(a.n)) for i in range(a.n)]
+    values = {f"e{i + 1}": sem.evaluate(e) for i, e in enumerate(basis)}
+    # exact: P e = 0 iff lam is not a root of the annihilator of e
+    annihilators = (IntPolynomial.from_fractions(_annihilator_of_vector(a, e)) for e in basis)
+    return {"values": values, "all_positive": all(vanishes_at(h, root) for h in annihilators)}
 
 
 def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
@@ -149,26 +157,7 @@ def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
             a, k_max, max_radius, budget, trend_threshold)
     if evidence_level == "full":
         if report.has_unit_circle_eigenvalue:
-            dossier.evidence["eigen_seminorm"] = _seminorm_table(a)
+            dossier.evidence["eigen_seminorm"] = _seminorm_table(a, report.minimal_poly)
         else:
             dossier.evidence["eigen_seminorm"] = None
     return dossier
-
-
-@dataclass
-class BatchEntry:
-    index: int
-    dossier: Optional[ClassificationDossier]
-    error: Optional[str]
-
-
-def batch_classify(matrices: Sequence[IntMatrix],
-                   evidence_level: str = "none", **kwargs) -> list[BatchEntry]:
-    """Map build_dossier over the input, isolating per-item failures."""
-    out = []
-    for i, m in enumerate(matrices):
-        try:
-            out.append(BatchEntry(i, build_dossier(m, evidence_level, **kwargs), None))
-        except (PreconditionError, ResourceExhausted) as exc:
-            out.append(BatchEntry(i, None, str(exc)))
-    return out

@@ -95,18 +95,17 @@ def _writable(path: str) -> bool:
     return os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
-def _int_env(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _ParseExit(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def _budget() -> int:
-    return _int_env("LENGRP_MEMORY_BUDGET", DEFAULT_STATE_BUDGET)
+    raw = os.environ.get("LENGRP_MEMORY_BUDGET")
+    if raw is None:
+        return DEFAULT_STATE_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise _ParseExit(f"LENGRP_MEMORY_BUDGET must be an integer >= 1, got {raw!r}")
+    return budget
 
 
 def _evaluator(name: str):

@@ -16,7 +16,6 @@ from math import gcd, isfinite, isqrt
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import mpmath
-from mpmath.libmp import NoConvergence
 
 from .errors import (
     LengrpError,
@@ -36,13 +35,11 @@ from .groups import (
 from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
     IntPolynomial,
+    UnitRoot,
     _fp,
     _fp_gcd,
-    half_trace_transform,
-    has_unit_circle_eigenvalue,
-    self_reciprocal_part,
-    squarefree_part,
-    sturm_count,
+    unit_circle_root,
+    vanishes_at,
 )
 
 Value = Union[int, Fraction, float]
@@ -68,21 +65,10 @@ def ceil_two_sqrt(n: int) -> int:
 
 
 def _symmetry_orbit(x: int, y: int, z: int) -> set[tuple[int, int, int]]:
-    # d(x,y,z) = d(-x,y,-z) = d(x,-y,-z) = d(-x,-y,z) = d(y,x,z)
-    seen = {(x, y, z)}
-    frontier = [(x, y, z)]
-    while frontier:
-        cx, cy, cz = frontier.pop()
-        for img in (
-            (-cx, cy, -cz),
-            (cx, -cy, -cz),
-            (-cx, -cy, cz),
-            (cy, cx, cz),
-        ):
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return seen
+    # d(x,y,z) = d(-x,y,-z) = d(x,-y,-z) = d(y,x,z): signed permutations of
+    # (x, y), with z times the product of the signs
+    return {img for sx in (1, -1) for sy in (1, -1)
+            for img in ((sx * x, sy * y, sx * sy * z), (sy * y, sx * x, sx * sy * z))}
 
 
 def normalize_heis_coords(x: int, y: int, z: int) -> tuple[int, int, int]:
@@ -420,59 +406,66 @@ def sqrt_bound_witness(length: LengthEvaluator, max_n: int) -> tuple[Fraction, F
 # -- eigenline projection seminorm ---------------------------------------
 
 
-def _unit_circle_eigenvalue(m: IntPolynomial) -> tuple[object, bool]:
-    """A modulus-one root lam of the minimal polynomial m, and whether it repeats.
+def _unit_circle_eigenvalue(root: UnitRoot):
+    """lam at the working precision, from root = unit_circle_root(m).
 
-    lam is 1, else -1, else (y0 + i*sqrt(4 - y0^2))/2 for the least root y0
-    in (-2, 2) of the squarefree half-trace polynomial q.  y0 comes from
-    polyroots at the working precision; a rational hi with exactly one root
-    of q in (-2, hi] (Sturm) isolates it.  lam repeats iff it is a root of
-    g = gcd(m, m'), decided exactly: g(+-1) = 0, or the half-trace
-    polynomial of g has a root in (-2, hi].
+    lam is +-1, or (y0 + i*sqrt(4 - y0^2))/2 with y0 the only root of the
+    squarefree q in the dyadic interval (lo, hi], across which q changes
+    sign.  q is monic, so a rational y0 is -1, 0 or 1, taken exactly.
+    Otherwise bisection on the sign of q at dyadic points u/2^k, read off
+    the integer 2^(k deg q) q(u/2^k), brackets y0 until both ends round to
+    the same working-precision number, which is then y0 correctly rounded.
     """
-    g = IntPolynomial.from_fractions(_fp_gcd(_fp(m), _fp(m.derivative())))
-    for t in (1, -1):
-        if m(t) == 0:
-            return mpmath.mpf(t), g(t) == 0
-    q = squarefree_part(half_trace_transform(self_reciprocal_part(m)))
-    try:
-        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(q.coeffs)], maxsteps=200)
-    except NoConvergence as exc:
-        raise NumericalDegeneracyError(f"unit-circle eigenvalue did not converge: {exc}") from exc
-    count = sturm_count(q, -2, 2)
-    nearest_real = sorted((z for z in roots if -2 < mpmath.re(z) < 2),
-                          key=lambda z: abs(mpmath.im(z)))[:count]
-    ys = sorted(mpmath.re(z) for z in nearest_real)
-    hi = Fraction(str((ys[0] + ys[1]) / 2)) if count > 1 else Fraction(2)
-    if len(ys) != count or q(hi) == 0 or sturm_count(q, -2, hi) != 1:
-        raise NumericalDegeneracyError("no refined unit-circle eigenvalue found")
-    y0 = ys[0]
-    rg = self_reciprocal_part(g)
-    repeated = rg.degree > 0 and sturm_count(
-        squarefree_part(half_trace_transform(rg)), -2, hi) > 0
-    return mpmath.mpc(y0 / 2, mpmath.sqrt(4 - y0 * y0) / 2), repeated
+    if isinstance(root, int):
+        return mpmath.mpf(root)
+    q, lo, hi = root
+
+    def sign(u: int, k: int) -> int:
+        acc, scale = 0, 1
+        for c in reversed(q.coeffs):
+            acc, scale = acc * u + c * scale, scale << k
+        return (acc > 0) - (acc < 0)
+
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    u, v = int(lo * 2 ** k), int(hi * 2 ** k)  # y0 in (u/2^k, v/2^k]
+    for t in (-1, 0, 1):
+        if lo < t <= hi and q(t) == 0:
+            u = v = t << k
+    sign_v = sign(v, k)
+    while mpmath.mpf((u, -k)) != mpmath.mpf((v, -k)):  # (mantissa, exponent), rounded
+        u, v, k = 2 * u, 2 * v, k + 1
+        mid = (u + v) // 2
+        if sign(mid, k) == sign_v:
+            v = mid
+        else:
+            u = mid
+    y0 = mpmath.mpf((v, -k))
+    return mpmath.mpc(y0 / 2, mpmath.sqrt(4 - y0 * y0) / 2)
 
 
-def _unit_eigen_projector(a: IntMatrix, dps: int):
-    """(lam, P): a modulus-one eigenvalue of A and the spectral projector onto its eigenspace.
+def _eigenline(a: IntMatrix, m: IntPolynomial, dps: int):
+    """(root, lam, P) for A with minimal polynomial m: the exact location
+    root = unit_circle_root(m) of an eigenvalue lam, |lam| = 1, then lam and
+    the spectral projector P onto its eigenspace to about dps digits.
 
-    With m = (x - lam)*r the minimal polynomial, P = r(A)/r(lam), exact
-    whenever lam is a simple root of m.  r(A) is summed over exact integer
-    powers of A, with guard digits for the size of those powers, so P has
-    about dps correct digits.
+    With m = (x - lam)*r, P = r(A)/r(lam) if lam is a simple root of m
+    (decided exactly on gcd(m, m')).  r(A) is summed over exact integer
+    powers of A, with guard digits for the size of those powers.
     """
-    m = minimal_poly(a)
-    if not has_unit_circle_eigenvalue(m):
+    if dps < 1:
+        raise PreconditionError(f"dps must be >= 1, got {dps}")
+    root = unit_circle_root(m)
+    if root is None:
         raise PreconditionError("matrix has no eigenvalue of modulus one")
+    if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(m), _fp(m.derivative()))), root):
+        raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
     powers = [IntMatrix.identity(a.n)]
     for _ in range(m.degree - 1):
         powers.append(powers[-1] @ a)
     big = max(abs(x) for pw in powers for row in pw.rows for x in row)
     guard = len(str(big * sum(abs(c) for c in m.coeffs)))
     with mpmath.workdps(dps + guard):
-        lam, repeated = _unit_circle_eigenvalue(m)
-        if repeated:
-            raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
+        lam = _unit_circle_eigenvalue(root)
         r, acc = [], 0  # m = (x - lam)*r by Horner, highest coefficient first
         for c in reversed(m.coeffs[1:]):
             acc = acc * lam + c
@@ -481,44 +474,49 @@ def _unit_eigen_projector(a: IntMatrix, dps: int):
         proj = mpmath.matrix([[scale * mpmath.fsum(c * pw.rows[i][j]
                                                    for c, pw in zip(reversed(r), powers))
                                for j in range(a.n)] for i in range(a.n)])
-    return lam, proj
+    return root, lam, proj
 
 
-def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
-    """Seminorm v -> |P v| / |P|_2 for the spectral projector P of a unit-circle eigenvalue.
+def _unit_eigen_projector(a: IntMatrix, dps: int):
+    """(lam, P): a modulus-one eigenvalue of A and its spectral projector."""
+    return _eigenline(a, minimal_poly(a), dps)[1:]
 
-    The eigenvalue lam is chosen from the minimal polynomial m (see
-    _unit_circle_eigenvalue) and P = r(A)/r(lam) with m = (x - lam)*r.  P
-    commutes with A and A acts on its range by lam, |lam| = 1, so the value
-    is invariant under v -> A v.  lam, P and the operator norm (singular
-    values, mpmath.svd_c) carry about dps correct digits; values are
-    returned as floats.  Raises PreconditionError without a modulus-one
-    eigenvalue and NumericalDegeneracyError when lam is a repeated root of
-    m (A is not diagonalizable on that eigenvalue) or its root search fails.
-    """
-    lam, proj = _unit_eigen_projector(a, dps)
-    n = a.n
+
+def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, dps: int):
+    """(root, unit_eigen_seminorm(a, dps)) for A with minimal polynomial m."""
+    root, lam, proj = _eigenline(a, m, dps)
     with mpmath.workdps(dps):
         op_norm = max(mpmath.svd_c(proj, compute_uv=False))
 
-    def _to_mp(x):
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(x)
-
     def func(v: Sequence[Union[int, Fraction]]) -> float:
-        if len(v) != n:
+        if len(v) != a.n:
             raise PreconditionError("dimension mismatch")
         with mpmath.workdps(dps):
-            return float(mpmath.norm(proj * mpmath.matrix([_to_mp(x) for x in v])) / op_norm)
+            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in v])
+            return float(mpmath.norm(proj * col) / op_norm)
 
-    return LengthEvaluator(
+    return root, LengthEvaluator(
         name="unit-eigen-seminorm",
         domain="lattice",
         func=func,
         exact=False,
         description=f"projection seminorm onto the eigenline of {lam}",
     )
+
+
+def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
+    """Seminorm v -> |P v| / |P|_2, P the spectral projector of a unit-circle eigenvalue.
+
+    The eigenvalue lam is located exactly on the minimal polynomial m
+    (polynomials.unit_circle_root) and P = r(A)/r(lam) with m = (x - lam)*r.
+    P commutes with A and A acts on its range by lam, |lam| = 1, so the
+    value is invariant under v -> A v.  lam, P and the operator norm
+    (singular values, mpmath.svd_c) carry about dps >= 1 correct digits;
+    values are returned as floats.  Raises PreconditionError without a
+    modulus-one eigenvalue and NumericalDegeneracyError when lam is a
+    repeated root of m (A is not diagonalizable on that eigenvalue).
+    """
+    return _eigenline_seminorm(a, minimal_poly(a), dps)[1]
 
 
 # -- axiom checking ------------------------------------------------------
@@ -674,6 +672,8 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
     """
     if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
         raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
+    if sample_budget < 1:
+        raise PreconditionError(f"sample_budget must be >= 1, got {sample_budget}")
     rng = random.Random(seed)
     sampler = _make_sampler(length, rng, lattice_dim=lattice_dim, twist=twist,
                             coord_range=coord_range)

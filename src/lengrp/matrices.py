@@ -143,53 +143,40 @@ def char_poly(a: IntMatrix) -> IntPolynomial:
 
 def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> list[Fraction]:
     """Monic minimal polynomial of the Krylov sequence e, Ae, A^2 e, ..."""
-    basis: list[tuple[int, list[Fraction]]] = []  # (pivot index, reduced vector)
-    combos: list[list[Fraction]] = []  # expression of each reduced vector in Krylov terms
-    power = 0
+    n = a.n
+    # echelon rows: a reduced vector, then its coefficients on e, Ae, ..., A^n e
+    basis: list[tuple[int, list[Fraction]]] = []
     cur = e
-    while True:
-        v = [Fraction(x) for x in cur]
-        combo = [Fraction(0)] * (power + 1)
-        combo[power] = Fraction(1)
-        for (piv, bv), bc in zip(basis, combos):
-            f = v[piv]
-            if f != 0:
-                v = [x - f * y for x, y in zip(v, bv)]
-                combo = [
-                    (combo[i] if i < len(combo) else Fraction(0))
-                    - f * (bc[i] if i < len(bc) else Fraction(0))
-                    for i in range(max(len(combo), len(bc)))
-                ]
-        piv = next((i for i, x in enumerate(v) if x != 0), None)
+    for power in range(n + 1):
+        row = [Fraction(x) for x in cur] + [Fraction(int(i == power)) for i in range(n + 1)]
+        for piv, b in basis:
+            if row[piv]:
+                f = row[piv]
+                row = [x - f * y if y else x for x, y in zip(row, b)]
+        piv = next((i for i in range(n) if row[i]), None)
         if piv is None:
-            # sum combo[i] * A^i e = 0 and combo is monic in degree `power`
-            return combo[: power + 1]
-        scale = v[piv]
-        basis.append((piv, [x / scale for x in v]))
-        combos.append([c / scale for c in combo])
+            # sum row[n + i] * A^i e = 0, monic in degree `power`
+            return row[n:n + power + 1]
+        basis.append((piv, [x / row[piv] for x in row]))
         cur = a.apply(cur)
-        power += 1
+    raise AssertionError("n + 1 vectors in Q^n are dependent")
 
 
 def minimal_poly(a: IntMatrix) -> IntPolynomial:
-    """Monic polynomial of least degree with p(A) = 0, exact."""
+    """Monic polynomial of least degree with p(A) = 0, exact: the lcm of
+    the annihilators of the unit vectors."""
     n = a.n
     acc: list[Fraction] = [Fraction(1)]
     for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        ann = _annihilator_of_vector(a, e)
-        g = _fp_gcd(list(acc), list(ann))
-        prod_len = len(acc) + len(ann) - 1
-        prod = [Fraction(0)] * prod_len
+        ann = _annihilator_of_vector(a, tuple(1 if j == i else 0 for j in range(n)))
+        extra, _ = _fp_divmod(ann, _fp_gcd(acc, ann))  # lcm(acc, ann) = acc * extra
+        prod = [Fraction(0)] * (len(acc) + len(extra) - 1)
         for p, x in enumerate(acc):
-            for q, y in enumerate(ann):
+            for q, y in enumerate(extra):
                 prod[p + q] += x * y
-        acc, rem = _fp_divmod(prod, g)
-        assert not rem
+        acc = prod
         if len(acc) - 1 == n:
             break
-    lead = acc[-1]
-    acc = [c / lead for c in acc]
     poly = IntPolynomial.from_fractions(acc)
     assert poly.leading == 1, "minimal polynomial of an integer matrix is monic over Z"
     return poly

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .errors import PreconditionError
 
@@ -27,7 +27,7 @@ def _content(coeffs: Sequence[int]) -> int:
     return c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntPolynomial:
     """Polynomial over Z, coefficients constant term first.
 
@@ -131,9 +131,7 @@ def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], li
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while len(a) >= len(b) and _fp_trim(a):
-        if len(a) < len(b):
-            break
+    while _fp_trim(a) and len(a) >= len(b):
         shift = len(a) - len(b)
         coef = a[-1] / b[-1]
         q[shift] = coef
@@ -180,19 +178,8 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     return IntPolynomial.from_fractions(q)
 
 
-def sturm_count(q: IntPolynomial, a: Scalar, b: Scalar) -> int:
-    """Number of distinct real roots of squarefree q in the interval (a, b].
-
-    Neither endpoint may be a root; perturb the endpoints by an exact
-    rational shift before calling if that happens.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a >= b:
-        raise PreconditionError("need a < b")
-    if q.degree < 1:
-        return 0
-    if q(a) == 0 or q(b) == 0:
-        raise PreconditionError("endpoint is a root; perturb it first")
+def _sturm_variations(q: IntPolynomial) -> Callable[[Fraction], int]:
+    """x -> number of sign changes of the Sturm sequence of q at x."""
     chain = [_fp(q), _fp(q.derivative())]
     while len(chain[-1]) > 1:
         _, r = _fp_divmod(chain[-2], chain[-1])
@@ -208,6 +195,23 @@ def sturm_count(q: IntPolynomial, a: Scalar, b: Scalar) -> int:
                 signs.append(1 if v > 0 else -1)
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
+    return variations
+
+
+def sturm_count(q: IntPolynomial, a: Scalar, b: Scalar) -> int:
+    """Number of distinct real roots of squarefree q in the interval (a, b].
+
+    Neither endpoint may be a root; perturb the endpoints by an exact
+    rational shift before calling if that happens.
+    """
+    a, b = Fraction(a), Fraction(b)
+    if a >= b:
+        raise PreconditionError("need a < b")
+    if q.degree < 1:
+        return 0
+    if q(a) == 0 or q(b) == 0:
+        raise PreconditionError("endpoint is a root; perturb it first")
+    variations = _sturm_variations(q)
     return variations(a) - variations(b)
 
 
@@ -235,46 +239,67 @@ def half_trace_transform(r: IntPolynomial) -> IntPolynomial:
     deg = r.degree
     if deg < 2 or deg % 2 or not r.is_palindromic:
         raise PreconditionError("need a palindromic polynomial of even degree >= 2")
-    m = deg // 2
-    c = r.coeffs
-
-    def padd(u: list[int], v: list[int]) -> list[int]:
-        n = max(len(u), len(v))
-        return [(u[i] if i < len(u) else 0) + (v[i] if i < len(v) else 0) for i in range(n)]
-
-    def scale(u: list[int], s: int) -> list[int]:
-        return [s * x for x in u]
-
+    m, c = deg // 2, r.coeffs
+    q = [c[m]] + [0] * m
     b_prev, b_cur = [2], [0, 1]
-    q = [c[m]]
     for k in range(1, m + 1):
-        q = padd(q, scale(b_cur, c[m + k]))
-        if k < m:
-            b_prev, b_cur = b_cur, padd([0] + b_cur, scale(b_prev, -1))
+        for i, x in enumerate(b_cur):
+            q[i] += c[m + k] * x
+        b_prev, b_cur = b_cur, [x - (b_prev[i] if i < len(b_prev) else 0)
+                                for i, x in enumerate([0] + b_cur)]
     return IntPolynomial(tuple(q))
 
 
-def has_unit_circle_eigenvalue(p: IntPolynomial) -> bool:
-    """True iff p has a complex root of modulus exactly 1.
+UnitRoot = Union[int, tuple[IntPolynomial, Fraction, Fraction]]
 
-    Intended for characteristic polynomials of GL_n(Z) matrices, hence the
-    requirement of a unit constant term.  Fully exact: after handling the
-    roots +-1, the palindromic factor is rewritten in y = x + 1/x and its
-    real roots in (-2, 2) are counted with a Sturm sequence.
+
+def unit_circle_root(p: IntPolynomial) -> Optional[UnitRoot]:
+    """Exact location of a root lam of p with |lam| = 1, or None if none.
+
+    p needs a unit constant term, as minimal polynomials in GL_n(Z) have.
+    lam is 1, else -1, else (y0 + i*sqrt(4 - y0^2))/2 for the least root y0
+    in (-2, 2) of the squarefree half-trace polynomial q of the palindromic
+    factor: then the result is (q, lo, hi), y0 the only root of q in the
+    dyadic (lo, hi], found by Sturm bisection.
     """
     if p.degree < 1:
         raise PreconditionError("need a nonconstant polynomial")
     if abs(p.constant_term) != 1:
         raise PreconditionError("constant term must be a unit")
-    if p(1) == 0 or p(-1) == 0:
-        return True
+    for t in (1, -1):
+        if p(t) == 0:
+            return t
     r = self_reciprocal_part(p)
     if r.degree == 0:
-        return False
-    q = half_trace_transform(r)
-    qs = squarefree_part(q)
+        return None
+    q = squarefree_part(half_trace_transform(r))
+    variations = _sturm_variations(q)
     # roots at y = +-2 would mean x = +-1, excluded above
-    return sturm_count(qs, Fraction(-2), Fraction(2)) > 0
+    lo, hi = Fraction(-2), Fraction(2)
+    count = variations(lo) - variations(hi)
+    while count > 1:
+        mid = (lo + hi) / 2
+        while q(mid) == 0:
+            mid = (mid + hi) / 2
+        left = variations(lo) - variations(mid)
+        lo, hi, count = (lo, mid, left) if left else (mid, hi, count)
+    return (q, lo, hi) if count else None
+
+
+def vanishes_at(p: IntPolynomial, root: UnitRoot) -> bool:
+    """p(lam) = 0, exactly, for lam located by root = unit_circle_root(m) and
+    p whose unit-circle roots are roots of m (a divisor of m, say)."""
+    if isinstance(root, int):
+        return p(root) == 0
+    _, lo, hi = root
+    r = self_reciprocal_part(p)
+    return r.degree > 0 and sturm_count(
+        squarefree_part(half_trace_transform(r)), lo, hi) > 0
+
+
+def has_unit_circle_eigenvalue(p: IntPolynomial) -> bool:
+    """True iff p has a complex root of modulus exactly 1 (unit_circle_root)."""
+    return unit_circle_root(p) is not None
 
 
 # -- cyclotomic factors --------------------------------------------------

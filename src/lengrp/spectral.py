@@ -7,12 +7,13 @@ with a unit-circle eigenvalue (positive stable word length).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Literal, Optional
 
 from .errors import PreconditionError
-from .matrices import IntMatrix, char_poly, minimal_poly
+from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
+    IntPolynomial,
     cyclotomic_order,
     has_unit_circle_eigenvalue,
     is_irreducible,
@@ -22,9 +23,10 @@ from .polynomials import (
 TriState = Literal["yes", "no", "indeterminate"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralReport:
-    """Exact verdicts about a GL_n(Z) matrix viewed as a semidirect twist."""
+    """Exact verdicts about a GL_n(Z) matrix viewed as a semidirect twist,
+    and the minimal polynomial they were read from (not part of the JSON)."""
 
     finite_order: Optional[int]
     diagonalizable: bool
@@ -33,17 +35,11 @@ class SpectralReport:
     admits_discrete_purely_positive: bool
     purely_positive_stable_word_length: TriState
     vanishes_on_lattice: TriState
+    minimal_poly: IntPolynomial
 
     def to_json_dict(self) -> dict:
-        return {
-            "finite_order": self.finite_order,
-            "diagonalizable": self.diagonalizable,
-            "irreducible": self.irreducible,
-            "has_unit_circle_eigenvalue": self.has_unit_circle_eigenvalue,
-            "admits_discrete_purely_positive": self.admits_discrete_purely_positive,
-            "purely_positive_stable_word_length": self.purely_positive_stable_word_length,
-            "vanishes_on_lattice": self.vanishes_on_lattice,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "minimal_poly"}
 
 
 def classify_sdp(a: IntMatrix) -> SpectralReport:
@@ -53,17 +49,20 @@ def classify_sdp(a: IntMatrix) -> SpectralReport:
     implemented criteria applies (e.g. a reducible twist with unit-circle
     spectrum).
 
-    One exact spectral pass: every field comes from the characteristic and
-    the minimal polynomial, each computed once.
+    One exact spectral pass: every field is read off the minimal polynomial
+    m, computed once.  Its roots are the eigenvalues, and a root's
+    multiplicity is the size of its largest Jordan block.  So A has finite
+    order iff m is a product of distinct cyclotomic polynomials, and is
+    diagonalizable iff m is squarefree; the characteristic polynomial is
+    irreducible iff it equals m (deg m = n) and m is irreducible.
     """
     if abs(a.det()) != 1:
         raise PreconditionError("classification needs |det A| = 1")
-    cp = char_poly(a)
     mp = minimal_poly(a)
     order = cyclotomic_order(mp)
     diag = is_squarefree(mp)
-    irr = is_irreducible(cp)
-    unit = has_unit_circle_eigenvalue(cp)
+    irr = mp.degree == a.n and is_irreducible(mp)
+    unit = has_unit_circle_eigenvalue(mp)
 
     if irr:
         ppswl: TriState = "yes" if unit else "no"
@@ -88,4 +87,5 @@ def classify_sdp(a: IntMatrix) -> SpectralReport:
         admits_discrete_purely_positive=order is not None,
         purely_positive_stable_word_length=ppswl,
         vanishes_on_lattice=vanishes,
+        minimal_poly=mp,
     )

@@ -1,18 +1,33 @@
 import random
 
 import pytest
+from hypothesis import given
 
+import lengrp
 from lengrp.classify import (
     CLAIM_UNDECIDED,
     ClassificationDossier,
-    batch_classify,
+    _seminorm_table,
     build_dossier,
 )
 from lengrp.errors import PreconditionError
-from lengrp.matrices import IntMatrix
+from lengrp.matrices import IntMatrix, minimal_poly
 
-from test_lengths import DEROGATORY
-from test_matrices import CONNER, HYPERBOLIC, JORDAN, ROTATION, random_glz
+from test_lengths import (
+    DEROGATORY,
+    numpy_seminorm,
+    numpy_unit_eigenvalue,
+    unit_circle_twists,
+)
+from test_matrices import (
+    CONNER,
+    HYPERBOLIC,
+    JORDAN,
+    PROPERTY_SETTINGS,
+    ROTATION,
+    block_diag,
+    random_glz,
+)
 
 
 def claims(dossier):
@@ -108,16 +123,6 @@ def test_cyclotomic_companions():
     assert not d.report.irreducible
 
 
-def test_batch_classify():
-    det2 = IntMatrix.from_rows([[2, 0], [0, 1]])
-    entries = batch_classify([IntMatrix.identity(2), det2, CONNER])
-    assert [e.index for e in entries] == [0, 1, 2]
-    assert entries[0].dossier is not None and entries[0].error is None
-    assert entries[1].dossier is None and "det" in entries[1].error
-    assert entries[2].dossier is not None
-    assert batch_classify([]) == []
-
-
 def test_json_schema():
     d = build_dossier(ROTATION)
     payload = d.to_json_dict()
@@ -132,3 +137,45 @@ def test_derogatory_dossier_full_records_seminorm_error():
         d = build_dossier(a, "full", k_max=4, max_radius=8)
         assert d.report.finite_order is None and not d.report.diagonalizable
         assert "defective" in d.evidence["eigen_seminorm"]["error"]
+
+
+def test_full_dossier_reads_one_minimal_polynomial(monkeypatch):
+    calls = {"minimal_poly": 0, "char_poly": 0}
+    for name in calls:
+        original = getattr(lengrp.matrices, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (lengrp, lengrp.matrices, lengrp.spectral, lengrp.lengths,
+                       lengrp.classify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    d = build_dossier(CONNER, "full", k_max=3, max_radius=6)
+    assert d.evidence["eigen_seminorm"]["all_positive"]
+    assert calls == {"minimal_poly": 1, "char_poly": 0}
+
+
+def test_seminorm_all_positive_is_exact():
+    # rotation + hyperbolic block: lam = i, and P kills the hyperbolic block
+    a = IntMatrix.from_rows(block_diag([[[0, -1], [1, 0]], [[2, 1], [1, 1]]]))
+    table = _seminorm_table(a, minimal_poly(a))
+    assert not table["all_positive"]
+    assert table["values"]["e1"] == pytest.approx(2 ** -0.5)
+    assert table["values"]["e3"] < 1e-20 and table["values"]["e4"] < 1e-20
+    # conjugated so that no unit vector lies in the hyperbolic block
+    p = IntMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
+    b = p.inverse() @ a @ p
+    assert _seminorm_table(b, minimal_poly(b))["all_positive"]
+
+
+@PROPERTY_SETTINGS
+@given(unit_circle_twists())
+def test_seminorm_all_positive_matches_numpy_reference(case):
+    a, _ = case
+    table = _seminorm_table(a, minimal_poly(a))
+    if "error" in table:  # defective eigenvalue
+        return
+    reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
+    assert table["all_positive"] == all(v > 1e-8 for v in reference)

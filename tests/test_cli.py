@@ -115,6 +115,16 @@ def test_ball_budget_env(capsys, monkeypatch):
     assert code == 1
 
 
+def test_memory_budget_below_one_is_a_parse_error(capsys, monkeypatch):
+    for bad in ("0", "-3"):
+        monkeypatch.setenv("LENGRP_MEMORY_BUDGET", bad)
+        code, out, err = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]",
+                             "--evidence", "estimates", "--k-max", "2", "--radius", "4")
+        assert code == 1 and out == "" and "LENGRP_MEMORY_BUDGET" in err
+        code, out, err = run(capsys, "ball", "--group", "heis", "--radius", "2")
+        assert code == 1 and out == "" and "LENGRP_MEMORY_BUDGET" in err
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]",
                       "--evidence", "estimates", "--k-max", "4", "--radius", "8")

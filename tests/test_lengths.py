@@ -294,16 +294,26 @@ def test_unit_eigen_seminorm_derogatory_unipotent():
             unit_eigen_seminorm(a)
 
 
-def test_unit_eigen_seminorm_root_finder_failure(monkeypatch):
-    import mpmath
-    from mpmath.libmp import NoConvergence
+def test_unit_eigen_seminorm_needs_no_root_finder(monkeypatch):
+    # the eigenvalue is located by Sturm bisection and refined by exact
+    # dyadic bisection, so a failing numeric root finder changes nothing
+    before = [unit_eigen_seminorm(CONNER).evaluate(e_i) for e_i in unit_vectors(4)]
 
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("polyroots did not converge")
+    def no_root_finder(*args, **kwargs):
+        raise AssertionError("mpmath.polyroots was called")
 
-    monkeypatch.setattr(mpmath, "polyroots", no_convergence)
-    with pytest.raises(NumericalDegeneracyError):
-        unit_eigen_seminorm(CONNER)
+    monkeypatch.setattr(mpmath, "polyroots", no_root_finder)
+    after = [unit_eigen_seminorm(CONNER).evaluate(e_i) for e_i in unit_vectors(4)]
+    assert after == before
+    assert after == pytest.approx([0.5] * 4, abs=1e-12)
+
+
+def test_unit_eigen_seminorm_rejects_bad_dps():
+    for bad in (0, -3):
+        with pytest.raises(PreconditionError, match="dps"):
+            unit_eigen_seminorm(CONNER, dps=bad)
+        with pytest.raises(PreconditionError, match="dps"):
+            _unit_eigen_projector(CONNER, bad)
 
 
 def test_domination_word_length():
@@ -386,6 +396,17 @@ def test_unit_eigen_seminorm_repeated_unit_root():
     assert all(sem.evaluate(e_i) > 1e-6 for e_i in unit_vectors(6))
 
 
+def test_unit_eigen_projector_least_half_trace_root_zero():
+    # (x^2 + 1)(x^2 - x + 1): y = 0 (lam = i) is the least root of
+    # q = y^2 - y, and its isolating interval (-1/4, 5/8] has no dyadic
+    # midpoint at 0, so the refinement must find y0 = 0 exactly
+    a = IntMatrix.from_rows(companion([1, -1, 2, -1]))
+    lam, p = _unit_eigen_projector(a, 30)
+    assert lam == mpmath.mpc(0, 1)
+    with mpmath.workdps(60):
+        assert mpmath.mnorm(mpmath.matrix(a.rows) * p - lam * p, 1) < 1e-25
+
+
 # blocks as (coefficients constant term first, leading 1 omitted)
 UNIT_BLOCKS = [
     [-1], [1], [1, 1], [1, 0], [1, -1], [1, 1, 1, 1], [1, 0, 0, 0], [1, 0, -1, 0],
@@ -451,3 +472,10 @@ def test_check_axioms_rejects_bad_tolerance():
         with pytest.raises(PreconditionError):
             check_axioms(word_length_evaluator(), 50, bad, 7)
     assert check_axioms(lattice_swl_evaluator(), 50, 0.0, 7).all_passed
+
+
+def test_check_axioms_rejects_bad_sample_budget():
+    for bad in (0, -5):
+        with pytest.raises(PreconditionError, match="sample_budget"):
+            check_axioms(word_length_evaluator(), bad)
+    assert check_axioms(lattice_swl_evaluator(), 1).samples == 1

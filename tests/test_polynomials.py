@@ -18,6 +18,8 @@ from lengrp.polynomials import (
     self_reciprocal_part,
     squarefree_part,
     sturm_count,
+    unit_circle_root,
+    vanishes_at,
 )
 
 CONNER_CHAR = IntPolynomial((1, -2, 1, -2, 1))  # x^4 - 2x^3 + x^2 - 2x + 1
@@ -169,6 +171,49 @@ def test_unit_circle_detection_random_cross_check():
         if any(1e-12 < abs(m - 1) < 1e-4 for m in moduli):
             continue  # numerically ambiguous; the exact answer is the oracle
         assert has_unit_circle_eigenvalue(p) == any(abs(m - 1) < 1e-9 for m in moduli)
+
+
+def test_unit_circle_root_goldens():
+    assert unit_circle_root(IntPolynomial((-1, 1))) == 1
+    assert unit_circle_root(IntPolynomial((-1, 0, 1))) == 1  # 1 before -1
+    assert unit_circle_root(IntPolynomial((1, 1))) == -1
+    assert unit_circle_root(IntPolynomial((1, -3, 1))) is None
+    q, lo, hi = unit_circle_root(CONNER_CHAR)  # y0 = 1 - sqrt(2)
+    assert lo < 1 - 2 ** 0.5 < hi and sturm_count(q, lo, hi) == 1
+    # omega (y = -1) and i (y = 0): the least y is a rational root
+    root = unit_circle_root(pmul(cyclotomic(4), cyclotomic(3)))
+    q, lo, hi = root
+    assert lo < -1 < hi and sturm_count(q, lo, hi) == 1
+    assert vanishes_at(cyclotomic(3), root) and not vanishes_at(cyclotomic(4), root)
+    assert vanishes_at(IntPolynomial((-1, 1)), 1) and not vanishes_at(IntPolynomial((1, 1)), 1)
+    with pytest.raises(PreconditionError):
+        unit_circle_root(IntPolynomial((2, 0, 1)))
+
+
+UNIT_ROOT_FACTORS = [cyclotomic(k) for k in (1, 2, 3, 4, 5, 6, 8, 12)] + [
+    CONNER_CHAR, LEHMER, IntPolynomial((1, -3, 1)), IntPolynomial((-1, -1, 0, 1)),
+]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(UNIT_ROOT_FACTORS), min_size=1, max_size=4))
+def test_unit_circle_root_isolates_the_least_half_trace(factors):
+    root = unit_circle_root(pmul(*factors))
+    on_circle = [z for f in set(factors) for z in np.roots(list(reversed(f.coeffs)))
+                 if abs(abs(z) - 1) < 1e-6]
+    if root is None:
+        assert not on_circle
+    elif root in (1, -1):
+        assert root == (1 if any(abs(z - 1) < 1e-9 for z in on_circle) else -1)
+        assert any(abs(z - root) < 1e-9 for z in on_circle)
+    else:
+        q, lo, hi = root
+        y0 = min(2 * z.real for z in on_circle)
+        assert lo - 1e-9 < y0 <= hi + 1e-9 and sturm_count(q, lo, hi) == 1
+        for f in set(factors):
+            assert vanishes_at(f, root) == any(
+                abs(2 * z.real - y0) < 1e-9 and abs(abs(z) - 1) < 1e-6
+                for z in np.roots(list(reversed(f.coeffs))))
 
 
 def test_irreducibility():

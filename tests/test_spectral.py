@@ -1,12 +1,26 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lengrp.errors import PreconditionError
-from lengrp.matrices import IntMatrix
+from lengrp.matrices import IntMatrix, char_poly
+from lengrp.polynomials import has_unit_circle_eigenvalue, is_irreducible
 from lengrp.spectral import classify_sdp
 
-from test_matrices import CONNER, HYPERBOLIC, JORDAN, ROTATION, random_glz
+from test_matrices import (
+    CONNER,
+    HYPERBOLIC,
+    JORDAN,
+    PROPERTY_SETTINGS,
+    ROTATION,
+    block_diag,
+    companion,
+    elementary_products,
+    radical_annihilates,
+    random_glz,
+)
 
 
 def test_conner_golden():
@@ -100,3 +114,37 @@ def test_json_shape():
         "has_unit_circle_eigenvalue", "admits_discrete_purely_positive",
         "purely_positive_stable_word_length", "vanishes_on_lattice",
     }
+
+
+# companion blocks (coefficients constant term first, leading 1 omitted):
+# +-1, Phi_3, Phi_4, Phi_6, Phi_5, Conner, the Salem quartic, and three
+# without a unit-circle root
+SPECTRAL_BLOCKS = [
+    [-1], [1], [1, 1], [1, 0], [1, -1], [1, 1, 1, 1], [1, -2, 1, -2], [1, -1, -1, -1],
+    [1, -3], [-1, -1], [-1, -1, 0],
+]
+
+
+@st.composite
+def repeated_block_twists(draw):
+    """P B P^-1 with B block-diagonal in companions, one block twice, so the
+    minimal polynomial has degree < n; n <= 8."""
+    twice = draw(st.sampled_from(SPECTRAL_BLOCKS))
+    blocks = [twice, twice]
+    for block in draw(st.lists(st.sampled_from(SPECTRAL_BLOCKS), max_size=3)):
+        if sum(map(len, blocks)) + len(block) <= 8:
+            blocks.append(block)
+    blocks = draw(st.permutations(blocks))
+    b = IntMatrix.from_rows(block_diag([companion(c) for c in blocks]))
+    p = draw(elementary_products(b.n, 4))
+    return p @ b @ p.inverse()
+
+
+@PROPERTY_SETTINGS
+@given(repeated_block_twists())
+def test_report_from_minimal_polynomial_matches_characteristic(a):
+    report, cp = classify_sdp(a), char_poly(a)
+    assert report.minimal_poly.degree < a.n
+    assert report.irreducible == is_irreducible(cp)
+    assert report.has_unit_circle_eigenvalue == has_unit_circle_eigenvalue(cp)
+    assert report.diagonalizable == radical_annihilates(a)
