@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .errors import (
-    NumericalDegeneracyError,
-    OracleExhausted,
-    PreconditionError,
-    ResourceExhausted,
-)
+from .errors import NumericalDegeneracyError, OracleExhausted, PreconditionError
 from .groups import SdpContext, SdpElem, SdpGroup, bfs_word_length
 from .lengths import LengthEvaluator, _eigenline_seminorm, stable_length_estimate
 from .matrices import IntMatrix, _annihilator_of_vector
@@ -30,6 +25,8 @@ TAG_COROLLARY = "Corollary"
 CLAIM_UNDECIDED = "not decided by this paper's lemmas"
 
 EVIDENCE_LEVELS = ("none", "estimates", "full")
+# a running infimum below this counts as a trend toward 0 (non-normative)
+TREND_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,31 +89,23 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> Leng
             raise OracleExhausted(f"radius {max_radius} insufficient for {g.key}")
         return value
 
-    return LengthEvaluator(
-        name="sdp-wordlen", domain="sdp", func=func, exact=True,
-        description="BFS word length in the semidirect product",
-    )
+    return LengthEvaluator(name="sdp-wordlen", domain="sdp", func=func, exact=True)
 
 
-def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int,
-                         budget: int, trend_threshold: float) -> dict:
+def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int) -> dict:
     ctx = SdpContext(a)
     length = _sdp_length_evaluator(ctx, max_radius, budget)
     table = {}
     for i in range(a.n):
         e_i = SdpElem(tuple(1 if j == i else 0 for j in range(a.n)), 0, ctx)
-        try:
-            est = stable_length_estimate(length, e_i, k_max)
-        except ResourceExhausted:
-            table[f"e{i + 1}"] = {"partial": True, "ks": [], "ratios": []}
-            continue
+        est = stable_length_estimate(length, e_i, k_max)
         inf = est.infimum
         table[f"e{i + 1}"] = {
             "ks": [k for k, _, _ in est.samples],
             "ratios": [float(r) for _, _, r in est.samples],
             "running_infimum": [float(r) for r in est.running_infimum],
             "partial": est.partial,
-            "trend_to_zero": inf is not None and float(inf) < trend_threshold,
+            "trend_to_zero": inf is not None and float(inf) < TREND_THRESHOLD,
         }
     return table
 
@@ -127,22 +116,23 @@ def _seminorm_table(a: IntMatrix, m: IntPolynomial) -> dict:
     except (PreconditionError, NumericalDegeneracyError) as exc:
         return {"error": str(exc)}
     basis = [tuple(1 if j == i else 0 for j in range(a.n)) for i in range(a.n)]
-    values = {f"e{i + 1}": sem.evaluate(e) for i, e in enumerate(basis)}
     # exact: P e = 0 iff lam is not a root of the annihilator of e
-    annihilators = (IntPolynomial.from_fractions(_annihilator_of_vector(a, e)) for e in basis)
-    return {"values": values, "all_positive": all(vanishes_at(h, root) for h in annihilators)}
+    positive = [vanishes_at(IntPolynomial.from_fractions(_annihilator_of_vector(a, e)), root)
+                for e in basis]
+    values = {f"e{i + 1}": sem.evaluate(e) if pos else 0.0
+              for i, (e, pos) in enumerate(zip(basis, positive))}
+    return {"values": values, "all_positive": all(positive)}
 
 
 def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
                   k_max: int = 12, max_radius: int = 12,
-                  budget: int = 400_000,
-                  trend_threshold: float = 0.5) -> ClassificationDossier:
+                  budget: int = 400_000) -> ClassificationDossier:
     """Classify A exactly and optionally attach experimental corroboration.
 
     Verdicts come only from exact computation; evidence is illustrative and
     resource failures inside it are recorded as partial, never escalated.
-    The trend threshold (running infimum below it counts as "toward 0") is
-    a non-normative default.
+    An estimate whose running infimum falls below TREND_THRESHOLD is marked
+    as trending to 0.
     """
     if evidence_level not in EVIDENCE_LEVELS:
         raise PreconditionError(f"evidence_level must be one of {EVIDENCE_LEVELS}")
@@ -153,8 +143,7 @@ def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
         verdicts=_verdicts_from_report(report, a.n),
     )
     if evidence_level in ("estimates", "full"):
-        dossier.evidence["stable_length"] = _generator_estimates(
-            a, k_max, max_radius, budget, trend_threshold)
+        dossier.evidence["stable_length"] = _generator_estimates(a, k_max, max_radius, budget)
     if evidence_level == "full":
         if report.has_unit_circle_eigenvalue:
             dossier.evidence["eigen_seminorm"] = _seminorm_table(a, report.minimal_poly)

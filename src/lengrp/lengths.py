@@ -10,7 +10,7 @@ commuting pairs).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite, isqrt
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -157,15 +157,12 @@ class HeisWordOracle:
 _DEFAULT_ORACLE: Optional[HeisWordOracle] = None
 
 
-def heis_word_length(x: int, y: int, z: int,
-                     oracle: Optional[HeisWordOracle] = None) -> WordLengthResult:
+def heis_word_length(x: int, y: int, z: int) -> WordLengthResult:
     """Total exact word-length evaluator; records which path answered."""
     global _DEFAULT_ORACLE
-    if oracle is None:
-        if _DEFAULT_ORACLE is None:
-            _DEFAULT_ORACLE = HeisWordOracle()
-        oracle = _DEFAULT_ORACLE
-    return oracle.word_length(HeisElem(x, y, z))
+    if _DEFAULT_ORACLE is None:
+        _DEFAULT_ORACLE = HeisWordOracle()
+    return _DEFAULT_ORACLE.word_length(HeisElem(x, y, z))
 
 
 # -- evaluators ----------------------------------------------------------
@@ -184,13 +181,10 @@ class LengthEvaluator:
     domain: str
     func: Callable[..., Value]
     exact: bool
-    description: str = ""
     stable_limit: Optional[Callable[..., Value]] = None
 
     def evaluate(self, g) -> Value:
         return self.func(g)
-
-    __call__ = evaluate
 
 
 def swl_evaluator() -> LengthEvaluator:
@@ -199,7 +193,6 @@ def swl_evaluator() -> LengthEvaluator:
         domain="heisenberg",
         func=swl_heisenberg,
         exact=True,
-        description="stable word length |x| + |y|",
         stable_limit=swl_heisenberg,
     )
 
@@ -225,26 +218,24 @@ def quadratic_evaluator() -> LengthEvaluator:
         domain="heisenberg",
         func=quadratic_length,
         exact=True,
-        description="quadratically growing length function, not a stable norm",
         stable_limit=quadratic_length,
     )
 
 
-def zero_evaluator(domain: str = "heisenberg") -> LengthEvaluator:
+def zero_evaluator() -> LengthEvaluator:
     return LengthEvaluator(
-        name="zero", domain=domain, func=lambda g: 0, exact=True,
-        description="identically zero", stable_limit=lambda g: 0,
+        name="zero", domain="heisenberg", func=lambda g: 0, exact=True,
+        stable_limit=lambda g: 0,
     )
 
 
-def word_length_evaluator(closed_form_only: bool = False,
-                          oracle: Optional[HeisWordOracle] = None) -> LengthEvaluator:
+def word_length_evaluator(closed_form_only: bool = False) -> LengthEvaluator:
     """Raw word metric d_S.  Not a length function: homogeneity fails.
 
     With ``closed_form_only`` the evaluator raises CoverageGap instead of
     consulting the BFS oracle.
     """
-    oracle = oracle or HeisWordOracle()
+    oracle = HeisWordOracle()
 
     def func(g: HeisElem) -> int:
         if closed_form_only:
@@ -259,7 +250,6 @@ def word_length_evaluator(closed_form_only: bool = False,
         domain="heisenberg",
         func=func,
         exact=True,
-        description="word length for the generating set {a,b,a^-1,b^-1}",
         stable_limit=swl_heisenberg,
     )
 
@@ -271,7 +261,6 @@ def lattice_swl_evaluator() -> LengthEvaluator:
         domain="lattice",
         func=lambda v: abs(v[0]) + abs(v[1]),
         exact=True,
-        description="l1 norm on the abelianized Heisenberg group",
     )
 
 
@@ -484,7 +473,7 @@ def _unit_eigen_projector(a: IntMatrix, dps: int):
 
 def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, dps: int):
     """(root, unit_eigen_seminorm(a, dps)) for A with minimal polynomial m."""
-    root, lam, proj = _eigenline(a, m, dps)
+    root, _, proj = _eigenline(a, m, dps)
     with mpmath.workdps(dps):
         op_norm = max(mpmath.svd_c(proj, compute_uv=False))
 
@@ -500,7 +489,6 @@ def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, dps: int):
         domain="lattice",
         func=func,
         exact=False,
-        description=f"projection seminorm onto the eigenline of {lam}",
     )
 
 
@@ -542,20 +530,16 @@ class AxiomReport:
                 and self.commuting_subadditivity.passed)
 
     def to_json_dict(self) -> dict:
-        def verdict(v: AxiomVerdict) -> dict:
-            return {"passed": v.passed, "counterexample": v.counterexample}
+        return asdict(self)
 
-        return {
-            "homogeneity": verdict(self.homogeneity),
-            "conjugation_invariance": verdict(self.conjugation_invariance),
-            "commuting_subadditivity": verdict(self.commuting_subadditivity),
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-        }
+
+# Both samplers draw each axiom case with its composite element:
+# power_case (g, k, g^k), conjugation_case (g, h, hgh^-1) and
+# commuting_case (u, v, uv) for commuting u, v.
 
 
 class _HeisSampler:
-    """Exact sample generators for the Heisenberg domain.
+    """Exact axiom cases for the Heisenberg domain.
 
     Commuting pairs are built from proportional abelianized parts plus
     arbitrary central coordinates; those are exactly the commuting pairs,
@@ -572,164 +556,119 @@ class _HeisSampler:
         return HeisElem(r.randint(-self.cr, self.cr), r.randint(-self.cr, self.cr),
                         r.randint(-self.zr, self.zr))
 
-    def power_case(self) -> tuple[HeisElem, int]:
-        return self.element(), self.rng.randint(-3, 3)
+    def power_case(self) -> tuple[HeisElem, int, HeisElem]:
+        g, k = self.element(), self.rng.randint(-3, 3)
+        return g, k, g ** k
 
-    def conjugation_case(self) -> tuple[HeisElem, HeisElem]:
-        return self.element(), self.element()
+    def conjugation_case(self) -> tuple[HeisElem, HeisElem, HeisElem]:
+        g, h = self.element(), self.element()
+        return g, h, g.conjugate_by(h)
 
-    def commuting_pair(self) -> tuple[HeisElem, HeisElem]:
+    def commuting_case(self) -> tuple[HeisElem, HeisElem, HeisElem]:
         r = self.rng
         p, q = r.randint(-self.cr, self.cr), r.randint(-self.cr, self.cr)
         g = gcd(abs(p), abs(q))
         if g > 1:
             p, q = p // g, q // g
         alpha, beta = r.randint(-2, 2), r.randint(-2, 2)
-        return (
-            HeisElem(alpha * p, alpha * q, r.randint(-self.zr, self.zr)),
-            HeisElem(beta * p, beta * q, r.randint(-self.zr, self.zr)),
-        )
-
-    @staticmethod
-    def mul(g, h):
-        return g * h
-
-    @staticmethod
-    def conj(g, h):
-        return g.conjugate_by(h)
-
-    @staticmethod
-    def pow(g, k):
-        return g ** k
-
-    @staticmethod
-    def describe(g):
-        return (g.x, g.y, g.z)
+        u = HeisElem(alpha * p, alpha * q, r.randint(-self.zr, self.zr))
+        v = HeisElem(beta * p, beta * q, r.randint(-self.zr, self.zr))
+        return u, v, u * v
 
 
 class _LatticeSampler:
-    """Samplers for Z^n with an optional twist matrix for conjugation.
+    """Axiom cases on Z^n, coordinates in [-100, 100].
 
     In the ambient semidirect product, conjugating a lattice vector by the
-    distinguished generator applies the twist; all lattice pairs commute.
+    distinguished generator applies the twist (the identity when there is
+    none), named "twist" in the case; all lattice pairs commute.
     """
 
-    def __init__(self, rng: random.Random, n: int, twist: Optional[IntMatrix] = None,
-                 coord_range: int = 100):
+    def __init__(self, rng: random.Random, n: int, twist: Optional[IntMatrix] = None):
         self.rng = rng
         self.n = n
         self.twist = twist
-        self.cr = coord_range
 
     def element(self) -> tuple[int, ...]:
-        return tuple(self.rng.randint(-self.cr, self.cr) for _ in range(self.n))
+        return tuple(self.rng.randint(-100, 100) for _ in range(self.n))
 
     def power_case(self):
-        return self.element(), self.rng.randint(-3, 3)
+        v, k = self.element(), self.rng.randint(-3, 3)
+        return v, k, tuple(k * a for a in v)
 
     def conjugation_case(self):
-        return self.element(), None
+        v = self.element()
+        return v, "twist", v if self.twist is None else self.twist.apply(v)
 
-    def commuting_pair(self):
-        return self.element(), self.element()
-
-    def mul(self, v, w):
-        return tuple(a + b for a, b in zip(v, w))
-
-    def conj(self, v, _h):
-        if self.twist is None:
-            return v
-        return self.twist.apply(v)
-
-    @staticmethod
-    def pow(v, k):
-        return tuple(k * a for a in v)
-
-    @staticmethod
-    def describe(v):
-        return tuple(v)
-
-
-def _make_sampler(length: LengthEvaluator, rng: random.Random, *,
-                  lattice_dim: int = 2, twist: Optional[IntMatrix] = None,
-                  coord_range: Optional[int] = None):
-    if length.domain == "heisenberg":
-        return _HeisSampler(rng, coord_range or 2)
-    if length.domain == "lattice":
-        return _LatticeSampler(rng, lattice_dim, twist, coord_range or 100)
-    raise PreconditionError(f"no sampler for domain {length.domain!r}")
+    def commuting_case(self):
+        u, v = self.element(), self.element()
+        return u, v, tuple(a + b for a, b in zip(u, v))
 
 
 def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
                  tolerance: Optional[float] = None, seed: int = 0, *,
-                 lattice_dim: int = 2, twist: Optional[IntMatrix] = None,
-                 coord_range: Optional[int] = None) -> AxiomReport:
+                 lattice_dim: int = 2, twist: Optional[IntMatrix] = None) -> AxiomReport:
     """Property-check the three length-function axioms on random samples.
 
-    Exact evaluators are compared with exact equality, numeric ones up to
-    the tolerance, which must be a finite number >= 0.  A failed verdict
-    always carries a counterexample with both side values.
+    Heisenberg evaluators are sampled on small elements, lattice evaluators
+    on Z^lattice_dim with ``twist`` (default the identity) as conjugation.
+    Each sample draws one case for each axiom that has not failed yet, in
+    the order homogeneity, conjugation invariance, commuting subadditivity,
+    all from one generator seeded with ``seed``; so a seed fixes the report.
+    Cases the evaluator cannot answer (OracleExhausted, CoverageGap) are
+    skipped.  Exact evaluators are compared with exact equality, numeric
+    ones up to the tolerance, which must be a finite number >= 0.  A failed
+    verdict carries its first counterexample with both side values.
     """
     if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
         raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
     if sample_budget < 1:
         raise PreconditionError(f"sample_budget must be >= 1, got {sample_budget}")
     rng = random.Random(seed)
-    sampler = _make_sampler(length, rng, lattice_dim=lattice_dim, twist=twist,
-                            coord_range=coord_range)
+    if length.domain == "heisenberg":
+        sampler = _HeisSampler(rng)
+    elif length.domain == "lattice":
+        sampler = _LatticeSampler(rng, lattice_dim, twist)
+    else:
+        raise PreconditionError(f"no sampler for domain {length.domain!r}")
     tol = tolerance if tolerance is not None else (0.0 if length.exact else 1e-9)
+    ell = length.evaluate
 
     def differs(lhs, rhs) -> bool:
         if length.exact and tol == 0.0:
             return lhs != rhs
         return abs(lhs - rhs) > tol
 
-    homogeneity = AxiomVerdict(True)
-    conjugation = AxiomVerdict(True)
-    subadd = AxiomVerdict(True)
-
+    # (axiom, case drawer, its two sides, failure test, counterexample keys)
+    axioms = (
+        ("homogeneity", sampler.power_case,
+         lambda g, k, gk: (ell(gk), abs(k) * ell(g)), differs,
+         ("g", "n", "l(g^n)", "abs(n)*l(g)")),
+        ("conjugation", sampler.conjugation_case,
+         lambda g, h, hgh: (ell(hgh), ell(g)), differs,
+         ("g", "h", "l(hgh^-1)", "l(g)")),
+        ("commuting_subadditivity", sampler.commuting_case,
+         lambda u, v, uv: (ell(uv), ell(u) + ell(v)), lambda lhs, rhs: lhs > rhs + tol,
+         ("a", "b", "l(ab)", "l(a)+l(b)")),
+    )
+    verdicts = [AxiomVerdict(True) for _ in axioms]
     for _ in range(sample_budget):
-        if homogeneity.passed:
-            g, k = sampler.power_case()
+        for i, (axiom, draw, sides, fails, keys) in enumerate(axioms):
+            if not verdicts[i].passed:
+                continue
+            first, second, composite = draw()
             try:
-                lhs = length.evaluate(sampler.pow(g, k))
-                rhs = abs(k) * length.evaluate(g)
+                lhs, rhs = sides(first, second, composite)
             except (OracleExhausted, CoverageGap):
-                lhs = rhs = None
-            if lhs is not None and differs(lhs, rhs):
-                homogeneity = AxiomVerdict(False, {
-                    "axiom": "homogeneity", "g": sampler.describe(g), "n": k,
-                    "l(g^n)": lhs, "abs(n)*l(g)": rhs,
-                })
-        if conjugation.passed:
-            g, h = sampler.conjugation_case()
-            try:
-                lhs = length.evaluate(sampler.conj(g, h))
-                rhs = length.evaluate(g)
-            except (OracleExhausted, CoverageGap):
-                lhs = rhs = None
-            if lhs is not None and differs(lhs, rhs):
-                conjugation = AxiomVerdict(False, {
-                    "axiom": "conjugation", "g": sampler.describe(g),
-                    "h": sampler.describe(h) if h is not None else "twist",
-                    "l(hgh^-1)": lhs, "l(g)": rhs,
-                })
-        if subadd.passed:
-            u, v = sampler.commuting_pair()
-            try:
-                lhs = length.evaluate(sampler.mul(u, v))
-                rhs = length.evaluate(u) + length.evaluate(v)
-            except (OracleExhausted, CoverageGap):
-                lhs = rhs = None
-            if lhs is not None and lhs > rhs + tol:
-                subadd = AxiomVerdict(False, {
-                    "axiom": "commuting_subadditivity", "a": sampler.describe(u),
-                    "b": sampler.describe(v), "l(ab)": lhs, "l(a)+l(b)": rhs,
-                })
-        if not (homogeneity.passed or conjugation.passed or subadd.passed):
+                continue
+            if fails(lhs, rhs):
+                # Heisenberg elements are reported by their coordinates
+                shown = (getattr(first, "key", first), getattr(second, "key", second), lhs, rhs)
+                verdicts[i] = AxiomVerdict(False, {"axiom": axiom, **dict(zip(keys, shown))})
+        if not any(v.passed for v in verdicts):
             break
 
-    return AxiomReport(homogeneity, conjugation, subadd, sample_budget, tol)
+    return AxiomReport(*verdicts, sample_budget, tol)
 
 
 # -- stable norm domination ----------------------------------------------

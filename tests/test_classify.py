@@ -179,3 +179,45 @@ def test_seminorm_all_positive_matches_numpy_reference(case):
         return
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
     assert table["all_positive"] == all(v > 1e-8 for v in reference)
+
+
+def test_estimates_beyond_max_radius_are_partial():
+    # e_i^3 lies outside the radius-2 ball, so only k = 1, 2 are sampled
+    d = build_dossier(HYPERBOLIC, "estimates", k_max=4, max_radius=2)
+    for entry in d.evidence["stable_length"].values():
+        assert entry["partial"] and entry["ks"] == [1, 2]
+
+
+def test_full_dossier_without_unit_circle_eigenvalue_has_no_seminorm():
+    d = build_dossier(HYPERBOLIC, "full", k_max=2, max_radius=4)
+    assert d.evidence["eigen_seminorm"] is None
+    assert not d.evidence["stable_length"]["e1"]["partial"]
+
+
+# A conjugated finite-order twist with m = x^4 + x^2 + 1 whose projector kills
+# e1 exactly; evaluating |P e1| in floating point reads about 4.5e-33.
+FINITE_ORDER_KILLS_E1 = IntMatrix.from_rows(
+    [[1, -1, 0, 0], [1, 0, 0, 0], [-1, -1, -1, -1], [0, 1, 1, 0]])
+
+
+def test_seminorm_table_prints_exact_zeros():
+    a = FINITE_ORDER_KILLS_E1
+    table = _seminorm_table(a, minimal_poly(a))
+    assert not table["all_positive"]
+    assert table["values"]["e1"] == 0.0
+    reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
+    assert reference[0] < 1e-8
+    for i in (2, 3, 4):
+        assert table["values"][f"e{i}"] == pytest.approx(reference[i - 1], abs=1e-8) != 0.0
+
+
+@PROPERTY_SETTINGS
+@given(unit_circle_twists())
+def test_seminorm_table_zero_exactly_where_projector_kills(case):
+    a, _ = case
+    table = _seminorm_table(a, minimal_poly(a))
+    if "error" in table:  # defective eigenvalue
+        return
+    reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
+    for value, ref in zip(table["values"].values(), reference):
+        assert (value == 0.0) == (ref < 1e-8)

@@ -479,3 +479,75 @@ def test_check_axioms_rejects_bad_sample_budget():
         with pytest.raises(PreconditionError, match="sample_budget"):
             check_axioms(word_length_evaluator(), bad)
     assert check_axioms(lattice_swl_evaluator(), 1).samples == 1
+
+
+def pinned_report(homogeneity=None, conjugation=None, tolerance=0.0):
+    """An AxiomReport.to_json_dict() of 1000 samples; None marks a passed axiom."""
+    def verdict(cx):
+        return {"passed": cx is None, "counterexample": cx}
+
+    return {"homogeneity": verdict(homogeneity), "conjugation_invariance": verdict(conjugation),
+            "commuting_subadditivity": verdict(None), "samples": 1000, "tolerance": tolerance}
+
+
+def homogeneity_cx(g, n, lhs, rhs):
+    return {"axiom": "homogeneity", "g": g, "n": n, "l(g^n)": lhs, "abs(n)*l(g)": rhs}
+
+
+def conjugation_cx(g, h, lhs, rhs):
+    return {"axiom": "conjugation", "g": g, "h": h, "l(hgh^-1)": lhs, "l(g)": rhs}
+
+
+# Reports recorded with one draw per axiom and sample, in the order homogeneity,
+# conjugation, subadditivity, skipping axioms that already failed: any other
+# draw order changes the counterexamples.
+PINNED_WORDLEN = {
+    0: pinned_report(homogeneity_cx((-1, -1, 3), -2, 8, 12),
+                     conjugation_cx((2, 1, 0), (0, 1, -1), 5, 3)),
+    7: pinned_report(homogeneity_cx((1, 1, -3), -2, 8, 12),
+                     conjugation_cx((-2, -2, 3), (2, -2, -1), 8, 4)),
+    123456: pinned_report(homogeneity_cx((0, -2, 3), -2, 8, 12),
+                          conjugation_cx((-2, -2, -3), (0, -2, -3), 10, 8)),
+}
+PINNED_HYPERBOLIC_SWL = {
+    0: pinned_report(conjugation=conjugation_cx((-90, -34), "twist", 338, 124)),
+    7: pinned_report(conjugation=conjugation_cx((66, -88), "twist", 66, 154)),
+    123456: pinned_report(conjugation=conjugation_cx((-56, -100), "twist", 368, 156)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456])
+def test_check_axioms_reports_pinned(seed):
+    for factory in (swl_evaluator, quadratic_evaluator, zero_evaluator):
+        assert check_axioms(factory(), 1000, seed=seed).to_json_dict() == pinned_report()
+    assert check_axioms(word_length_evaluator(), 1000, seed=seed).to_json_dict() \
+        == PINNED_WORDLEN[seed]
+    conner = check_axioms(unit_eigen_seminorm(CONNER), 1000, seed=seed, lattice_dim=4,
+                          twist=CONNER)
+    assert conner.to_json_dict() == pinned_report(tolerance=1e-9)
+    # the l1 norm is not invariant under the hyperbolic twist
+    twisted = check_axioms(lattice_swl_evaluator(), 1000, seed=seed, twist=HYPERBOLIC)
+    assert twisted.to_json_dict() == PINNED_HYPERBOLIC_SWL[seed]
+
+
+def test_check_axioms_skips_cases_the_evaluator_cannot_answer():
+    closed = word_length_evaluator(closed_form_only=True)
+    gaps = []
+
+    def func(g):
+        try:
+            return closed.evaluate(g)
+        except CoverageGap:
+            gaps.append(g)
+            raise
+
+    report = check_axioms(LengthEvaluator("closed", "heisenberg", func, True), 1000, seed=7)
+    assert gaps
+    assert report.to_json_dict() == pinned_report(
+        homogeneity_cx((0, 0, -3), -2, 10, 16), conjugation_cx((-1, 0, 3), (-1, 2, 1), 9, 7))
+
+
+def test_check_axioms_rejects_unsupported_domain():
+    sdp = LengthEvaluator("sdp-wordlen", "sdp", lambda g: 0, True)
+    with pytest.raises(PreconditionError, match="no sampler for domain 'sdp'"):
+        check_axioms(sdp)
