@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import NumericalDegeneracyError, OracleExhausted, PreconditionError
-from .groups import SdpContext, SdpElem, SdpGroup, bfs_word_length
+from .groups import DEFAULT_STATE_BUDGET, SdpContext, SdpElem, SdpGroup, bfs_word_length
 from .lengths import LengthEvaluator, _eigenline_seminorm, stable_length_estimate
 from .matrices import IntMatrix, _annihilator_of_vector
 from .polynomials import IntPolynomial, vanishes_at
@@ -126,7 +126,7 @@ def _seminorm_table(a: IntMatrix, m: IntPolynomial) -> dict:
 
 def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
                   k_max: int = 12, max_radius: int = 12,
-                  budget: int = 400_000) -> ClassificationDossier:
+                  budget: int = DEFAULT_STATE_BUDGET) -> ClassificationDossier:
     """Classify A exactly and optionally attach experimental corroboration.
 
     Verdicts come only from exact computation; evidence is illustrative and

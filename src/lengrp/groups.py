@@ -165,8 +165,6 @@ def parse_sdp(text: str, ctx: SdpContext) -> SdpElem:
 class HeisenbergGroup:
     """BFS adapter: keys are (x, y, z) triples; generators a^+-1, b^+-1."""
 
-    name = "heisenberg"
-
     @property
     def identity_key(self) -> Key:
         return (0, 0, 0)
@@ -178,9 +176,6 @@ class HeisenbergGroup:
         yield (x, y + 1, z + x)
         yield (x, y - 1, z - x)
 
-    def key_of(self, g: HeisElem) -> Key:
-        return g.key
-
     def elem_of(self, k: Key) -> HeisElem:
         return HeisElem(*k)
 
@@ -190,8 +185,6 @@ class HeisenbergGroup:
 
 class SdpGroup:
     """BFS adapter for Z^n x|_A Z; generators e_i^+-1, t^+-1."""
-
-    name = "sdp"
 
     def __init__(self, ctx: SdpContext):
         self.ctx = ctx
@@ -203,22 +196,14 @@ class SdpGroup:
 
     def neighbors(self, k: Key) -> Iterator[Key]:
         v, t = k[:-1], k[-1]
-        at = self.ctx.power(t)
-        for i in range(self.n):
-            col = tuple(at.rows[j][i] for j in range(self.n))
+        for col in zip(*self.ctx.power(t).rows):
             yield tuple(a + b for a, b in zip(v, col)) + (t,)
             yield tuple(a - b for a, b in zip(v, col)) + (t,)
         yield v + (t + 1,)
         yield v + (t - 1,)
 
-    def key_of(self, g: SdpElem) -> Key:
-        return g.key
-
     def elem_of(self, k: Key) -> SdpElem:
         return SdpElem(k[:-1], k[-1], self.ctx)
-
-    def inverse_key(self, k: Key) -> Key:
-        return self.elem_of(k).inverse().key
 
 
 @dataclass
@@ -251,6 +236,22 @@ class BallTable:
                 writer.writerow([" ".join(str(c) for c in key), self.lengths[key]])
 
 
+def _grow(group, frontier: list, dist: Dict[Key, int], r: int, limit: int,
+          completed: int, message: str) -> list:
+    """Store each unseen neighbour of the frontier in ``dist`` at distance r
+    and return them; raise ResourceExhausted(message, completed_radius=
+    completed) as soon as ``dist`` holds more than ``limit`` states."""
+    nxt = []
+    for k in frontier:
+        for nb in group.neighbors(k):
+            if nb not in dist:
+                dist[nb] = r
+                nxt.append(nb)
+                if len(dist) > limit:
+                    raise ResourceExhausted(message, completed_radius=completed)
+    return nxt
+
+
 def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTable:
     """Exact word length for every element within the given radius.
 
@@ -264,19 +265,9 @@ def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTabl
     sphere_sizes = [1]
     frontier = [group.identity_key]
     for r in range(1, radius + 1):
-        nxt = []
-        for k in frontier:
-            for nb in group.neighbors(k):
-                if nb not in dist:
-                    dist[nb] = r
-                    nxt.append(nb)
-                    if len(dist) > budget:
-                        raise ResourceExhausted(
-                            f"state budget {budget} exceeded at radius {r}",
-                            completed_radius=r - 1,
-                        )
-        sphere_sizes.append(len(nxt))
-        frontier = nxt
+        frontier = _grow(group, frontier, dist, r, budget, r - 1,
+                         f"state budget {budget} exceeded at radius {r}")
+        sphere_sizes.append(len(frontier))
     return BallTable(radius, dist, sphere_sizes)
 
 
@@ -284,51 +275,28 @@ def bfs_word_length(group, g, max_radius: int,
                     budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
     """Exact word length of g if it is at most max_radius, else None.
 
-    Bidirectional search: balls grown around the identity and around g meet
-    in the middle, doubling the reachable radius for single-target queries.
+    g is a group element (it has ``key``).  Bidirectional search: balls
+    grown around the identity and around g meet in the middle, doubling the
+    reachable radius for single-target queries.  Each step grows the smaller
+    frontier by one level (the identity side on ties) and looks its new
+    nodes up on the other side.
     """
-    start = group.identity_key
-    target = group.key_of(g) if hasattr(g, "key") else tuple(g)
-    if target == start:
+    if max_radius < 0:
+        raise PreconditionError("max_radius must be nonnegative")
+    if g.key == group.identity_key:
         return 0
-    dist_a: Dict[Key, int] = {start: 0}
-    dist_b: Dict[Key, int] = {target: 0}
-    frontier_a, frontier_b = [start], [target]
-    r_a = r_b = 0
-    best: Optional[int] = None
-    while r_a + r_b < max_radius:
-        if best is not None and best <= r_a + r_b:
-            return best
-        # expand the smaller side
-        if len(frontier_a) <= len(frontier_b):
-            dist, other, frontier = dist_a, dist_b, frontier_a
-            r_a += 1
-            r = r_a
-        else:
-            dist, other, frontier = dist_b, dist_a, frontier_b
-            r_b += 1
-            r = r_b
-        nxt = []
-        for k in frontier:
-            for nb in group.neighbors(k):
-                if nb not in dist:
-                    dist[nb] = r
-                    nxt.append(nb)
-                    if len(dist_a) + len(dist_b) > budget:
-                        raise ResourceExhausted(
-                            f"state budget {budget} exceeded",
-                            completed_radius=r_a + r_b - 1,
-                        )
-                    if nb in other:
-                        cand = r + other[nb]
-                        if best is None or cand < best:
-                            best = cand
-        if dist is dist_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
+    # one [distances, frontier, radius] per side: the identity's, then g's
+    sides = [[{k: 0}, [k], 0] for k in (group.identity_key, g.key)]
+    best = max_radius + 1  # no meeting yet
+    while (done := sides[0][2] + sides[1][2]) < max_radius and best > done:
+        side, other = sides if len(sides[0][1]) <= len(sides[1][1]) else sides[::-1]
+        dist, frontier, r = side
+        other_dist = other[0]
+        r += 1
+        nxt = _grow(group, frontier, dist, r, budget - len(other_dist), done,
+                    f"state budget {budget} exceeded")
+        side[1:] = nxt, r
+        best = min([best] + [r + other_dist[k] for k in nxt if k in other_dist])
         if not nxt:
             break
-    if best is not None and best <= max_radius:
-        return best
-    return None
+    return best if best <= max_radius else None

@@ -607,11 +607,13 @@ class _LatticeSampler:
 
 def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
                  tolerance: Optional[float] = None, seed: int = 0, *,
-                 lattice_dim: int = 2, twist: Optional[IntMatrix] = None) -> AxiomReport:
+                 lattice_dim: Optional[int] = None,
+                 twist: Optional[IntMatrix] = None) -> AxiomReport:
     """Property-check the three length-function axioms on random samples.
 
     Heisenberg evaluators are sampled on small elements, lattice evaluators
-    on Z^lattice_dim with ``twist`` (default the identity) as conjugation.
+    on Z^lattice_dim with ``twist`` (default the identity) as conjugation;
+    lattice_dim defaults to the twist's size, else 2, and must match it.
     Each sample draws one case for each axiom that has not failed yet, in
     the order homogeneity, conjugation invariance, commuting subadditivity,
     all from one generator seeded with ``seed``; so a seed fixes the report.
@@ -624,6 +626,11 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
         raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
     if sample_budget < 1:
         raise PreconditionError(f"sample_budget must be >= 1, got {sample_budget}")
+    if lattice_dim is None:
+        lattice_dim = 2 if twist is None else twist.n
+    elif twist is not None and lattice_dim != twist.n:
+        raise PreconditionError(f"lattice_dim {lattice_dim} does not match the "
+                                f"{twist.n}x{twist.n} twist")
     rng = random.Random(seed)
     if length.domain == "heisenberg":
         sampler = _HeisSampler(rng)

@@ -97,21 +97,6 @@ class IntPolynomial:
             denom = denom * c.denominator // gcd(denom, c.denominator)
         return cls(tuple(int(c * denom) for c in cs))
 
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            elif k == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{k}")
-        return " + ".join(parts)
-
 
 # -- rational-coefficient helpers (lists, constant term first) -----------
 

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from lengrp.classify import (
     _seminorm_table,
     build_dossier,
 )
+from lengrp.cli import _budget
 from lengrp.errors import PreconditionError
 from lengrp.matrices import IntMatrix, minimal_poly
 
@@ -89,6 +91,12 @@ def test_build_dossier_preconditions():
         build_dossier(IntMatrix.from_rows([[2, 0], [0, 1]]))
     with pytest.raises(PreconditionError):
         build_dossier(IntMatrix.identity(2), "everything")
+
+
+def test_build_dossier_budget_matches_cli(monkeypatch):
+    monkeypatch.delenv("LENGRP_MEMORY_BUDGET", raising=False)
+    default = inspect.signature(build_dossier).parameters["budget"].default
+    assert default == _budget()
 
 
 def test_random_finite_order_family():

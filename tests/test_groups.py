@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lengrp.errors import PreconditionError, ResourceExhausted
 from lengrp.groups import (
@@ -18,6 +20,8 @@ from lengrp.groups import (
     parse_sdp,
 )
 from lengrp.matrices import IntMatrix
+
+from test_matrices import PROPERTY_SETTINGS, elementary_products
 
 
 def random_heis(rng, bound=5):
@@ -186,3 +190,90 @@ def test_sdp_hyperbolic_compression():
     group = SdpGroup(HYP_CTX)
     d = bfs_word_length(group, SdpElem((16, 0), 0, HYP_CTX), 16)
     assert d is not None and d < 16
+
+
+@pytest.mark.parametrize("budget, message, completed", [
+    (10, "state budget 10 exceeded at radius 2", 1),
+    (50, "state budget 50 exceeded at radius 3", 2),
+    (137, "state budget 137 exceeded at radius 5", 4),
+    (1000, "state budget 1000 exceeded at radius 7", 6),
+])
+def test_ball_budget_pinned(budget, message, completed):
+    with pytest.raises(ResourceExhausted) as err:
+        bfs_ball(HeisenbergGroup(), 9, budget=budget)
+    assert str(err.value) == message
+    assert err.value.completed_radius == completed
+
+
+@pytest.mark.parametrize("budget, completed", [(100, 5), (1000, 11)])
+def test_bidirectional_budget_pinned(budget, completed):
+    with pytest.raises(ResourceExhausted) as err:
+        bfs_word_length(HeisenbergGroup(), HeisElem(3, 1, 20), 30, budget=budget)
+    assert str(err.value) == f"state budget {budget} exceeded"
+    assert err.value.completed_radius == completed
+    assert bfs_word_length(HeisenbergGroup(), HeisElem(3, 1, 20), 30) == 14
+
+
+def test_sdp_ball_goldens():
+    table = bfs_ball(SdpGroup(HYP_CTX), 10)
+    assert table.sphere_sizes == [1, 6, 26, 70, 170, 390, 858, 1834, 3922, 8270, 17270]
+    assert table.ball_size == 32817
+
+
+def test_bidirectional_rejects_negative_radius():
+    with pytest.raises(PreconditionError):
+        bfs_word_length(HeisenbergGroup(), HeisElem(0, 0, 0), -1)
+
+
+small = st.integers(-4, 4)
+heis_elems = st.builds(HeisElem, small, small, small)
+# twists drawn as elementary products in GL_2(Z) and GL_3(Z)
+sdp_contexts = st.integers(2, 3).flatmap(lambda n: elementary_products(n, 4)).map(SdpContext)
+
+
+def sdp_elems(ctx):
+    return st.builds(SdpElem, st.tuples(*[small] * ctx.n), st.integers(-3, 3), st.just(ctx))
+
+
+def check_group_laws(g, h, k, e):
+    assert (g * h) * k == g * (h * k)
+    assert g * g.inverse() == e and g.inverse() * g == e
+    acc = e
+    for p in range(5):
+        assert g ** p == acc and g ** -p == acc.inverse()
+        acc = acc * g
+
+
+@PROPERTY_SETTINGS
+@given(heis_elems, heis_elems, heis_elems)
+def test_heis_group_laws_property(g, h, k):
+    check_group_laws(g, h, k, HeisElem.identity())
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_sdp_group_laws_property(data):
+    ctx = data.draw(sdp_contexts)
+    g, h, k = (data.draw(sdp_elems(ctx)) for _ in range(3))
+    check_group_laws(g, h, k, SdpElem((0,) * ctx.n, 0, ctx))
+
+
+HEIS_BALL = bfs_ball(HeisenbergGroup(), 8)
+
+
+@PROPERTY_SETTINGS
+@given(heis_elems)
+def test_bidirectional_matches_ball_on_heis_property(g):
+    # None on both sides when the length exceeds the radius
+    assert bfs_word_length(HeisenbergGroup(), g, 8) == HEIS_BALL.word_length(g.key)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_bidirectional_matches_ball_on_sdp_property(data):
+    ctx = data.draw(sdp_contexts)
+    group = SdpGroup(ctx)
+    table = bfs_ball(group, 4)
+    for _ in range(5):
+        g = data.draw(sdp_elems(ctx))
+        assert bfs_word_length(group, g, 4) == table.word_length(g.key)

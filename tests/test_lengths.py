@@ -177,6 +177,14 @@ def test_check_axioms_lattice_seminorm_invariance():
     assert report.commuting_subadditivity.passed
 
 
+def test_check_axioms_lattice_dim_defaults_to_twist():
+    sem = unit_eigen_seminorm(CONNER)
+    assert check_axioms(sem, 50, seed=3, twist=CONNER).to_json_dict() \
+        == check_axioms(sem, 50, seed=3, lattice_dim=4, twist=CONNER).to_json_dict()
+    with pytest.raises(PreconditionError, match="lattice_dim 2 .* 4x4 twist"):
+        check_axioms(sem, 50, seed=3, lattice_dim=2, twist=CONNER)
+
+
 def test_stable_length_estimate_exact_case():
     est = stable_length_estimate(word_length_evaluator(), HeisElem(1, 1, 0), 20)
     assert [(k, v) for k, v, _ in est.samples] == [(k, 2 * k) for k in range(1, 21)]
