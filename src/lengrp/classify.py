@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import NumericalDegeneracyError, OracleExhausted, PreconditionError
-from .groups import DEFAULT_STATE_BUDGET, SdpContext, SdpElem, SdpGroup, bfs_word_length
+from .groups import DEFAULT_STATE_BUDGET, SdpContext, SdpElem, SdpGroup, SharedBall
 from .lengths import LengthEvaluator, _eigenline_seminorm, stable_length_estimate
 from .matrices import IntMatrix, _annihilator_of_vector
 from .polynomials import IntPolynomial, vanishes_at
@@ -81,10 +81,10 @@ def _verdicts_from_report(report: SpectralReport, n: int) -> list[Verdict]:
 
 
 def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> LengthEvaluator:
-    group = SdpGroup(ctx)
+    ball = SharedBall(SdpGroup(ctx), max_radius, budget)
 
     def func(g: SdpElem) -> int:
-        value = bfs_word_length(group, g, max_radius, budget)
+        value = ball.word_length(g)
         if value is None:
             raise OracleExhausted(f"radius {max_radius} insufficient for {g.key}")
         return value
@@ -95,6 +95,9 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> Leng
 def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int) -> dict:
     ctx = SdpContext(a)
     length = _sdp_length_evaluator(ctx, max_radius, budget)
+    # equal ratios share one float, and the infimum reuses them: callers
+    # that keep many dossiers keep fewer objects
+    floats: dict = {}
     table = {}
     for i in range(a.n):
         e_i = SdpElem(tuple(1 if j == i else 0 for j in range(a.n)), 0, ctx)
@@ -102,8 +105,8 @@ def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int)
         inf = est.infimum
         table[f"e{i + 1}"] = {
             "ks": [k for k, _, _ in est.samples],
-            "ratios": [float(r) for _, _, r in est.samples],
-            "running_infimum": [float(r) for r in est.running_infimum],
+            "ratios": [floats.setdefault(r, float(r)) for _, _, r in est.samples],
+            "running_infimum": [floats[r] for r in est.running_infimum],
             "partial": est.partial,
             "trend_to_zero": inf is not None and float(inf) < TREND_THRESHOLD,
         }

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
+from operator import add
 from typing import Dict, Iterator, Optional
 
 from .errors import PreconditionError, ResourceExhausted
@@ -300,3 +302,83 @@ def bfs_word_length(group, g, max_radius: int,
         if not nxt:
             break
     return best if best <= max_radius else None
+
+
+class SharedBall:
+    """One identity ball of an SdpGroup that answers many word lengths.
+
+    The Cayley graph is left-invariant: d(g, x) = |g^-1 x|, so for every h
+    the candidate |h| + |g h| bounds |g| from above.  ``word_length`` grows
+    the ball B(R) lazily, one level at a time and never beyond radius
+    ceil(max_radius/2), and scans h sphere by sphere for the best candidate
+    b with g h in B(R).
+
+    Midpoint invariant.  Let d = |g| and let R be the ball's radius while
+    sphere s is scanned.  If s <= d <= s + R, a geodesic from 1 to g has a
+    vertex x with |x| = d - s <= R; h = g^-1 x has |h| = d(g, x) = s and
+    g h = x, so sphere s yields the candidate d.  If d < s, sphere d
+    already yielded h = g^-1 with g h = 1.  So after sphere s every
+    d <= s + R has been found.  The ball is grown to radius s + 1 before
+    sphere s, so the midpoint of a geodesic, |h| = floor(d/2) and
+    |g h| = ceil(d/2), is met for every d <= 2R: the ball's minimum is
+    exact whenever it is at most 2R.
+
+    Stops.  After sphere s, ``sure`` = s + R + 1, and d >= sure unless d
+    has been found.  So a candidate b <= sure is exact, whether it comes at
+    the end of sphere s or in the middle of sphere s + 1.  b starts at
+    max_radius + 1, so the scan also ends, with None, once
+    s + R >= max_radius: then d > max_radius.  That happens at the latest
+    at sphere ceil(max_radius/2), scanned with the ball at that radius.
+
+    The ball holds at most ``budget`` states.  A level that overruns it is
+    removed again, so the ball stays at its last complete radius, and every
+    later query that needs the next level raises ResourceExhausted again.
+    """
+
+    def __init__(self, group: SdpGroup, max_radius: int,
+                 budget: int = DEFAULT_STATE_BUDGET):
+        if max_radius < 0:
+            raise PreconditionError("max_radius must be nonnegative")
+        self.group = group
+        self.max_radius = max_radius
+        self.budget = budget
+        self.dist: Dict[Key, int] = {group.identity_key: 0}
+        self.spheres = [[group.identity_key]]
+
+    def _extend(self) -> None:
+        r = len(self.spheres)
+        size = len(self.dist)
+        try:
+            nxt = _grow(self.group, self.spheres[-1], self.dist, r, self.budget, r - 1,
+                        f"state budget {self.budget} exceeded at radius {r}")
+        except ResourceExhausted:
+            for k in list(islice(reversed(self.dist), len(self.dist) - size)):
+                del self.dist[k]
+            raise
+        self.spheres.append(nxt)
+
+    def _translates(self, g: SdpElem, sphere: list) -> Iterator[Key]:
+        """The keys of g h for h in the sphere, one at a time."""
+        if g.t == 0:  # g h is plain coordinate addition of the keys
+            gk = g.key
+            return (tuple(map(add, gk, h)) for h in sphere)
+        return ((g * self.group.elem_of(h)).key for h in sphere)
+
+    def word_length(self, g: SdpElem) -> Optional[int]:
+        """Exact word length of g if it is at most max_radius, else None."""
+        top = (self.max_radius + 1) // 2
+        get = self.dist.get
+        best = self.max_radius + 1  # no candidate yet
+        sure = 0  # every length below this would have been found
+        for s in range(top + 1):
+            while len(self.spheres) <= min(s + 1, top):
+                self._extend()
+            for d in map(get, self._translates(g, self.spheres[s])):
+                if d is not None and s + d < best:
+                    best = s + d
+                    if best <= sure:
+                        break
+            sure = s + len(self.spheres)  # s + R + 1
+            if best <= sure:
+                break
+        return best if best <= self.max_radius else None

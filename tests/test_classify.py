@@ -13,6 +13,7 @@ from lengrp.classify import (
 )
 from lengrp.cli import _budget
 from lengrp.errors import PreconditionError
+from lengrp.groups import SdpContext, SdpElem, SdpGroup, SharedBall
 from lengrp.matrices import IntMatrix, minimal_poly
 
 from test_lengths import (
@@ -229,3 +230,41 @@ def test_seminorm_table_zero_exactly_where_projector_kills(case):
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
     for value, ref in zip(table["values"].values(), reference):
         assert (value == 0.0) == (ref < 1e-8)
+
+
+def test_conner_generator_powers_have_length_k():
+    d = build_dossier(CONNER, "full")
+    for entry in d.evidence["stable_length"].values():
+        assert entry["ks"] == list(range(1, 13)) and not entry["partial"]
+        assert entry["ratios"] == entry["running_infimum"] == [1.0] * 12
+    ctx = SdpContext(CONNER)
+    ball = SharedBall(SdpGroup(ctx), 12)
+    for i in range(4):
+        for k in range(1, 13):
+            v = tuple(k if j == i else 0 for j in range(4))
+            assert ball.word_length(SdpElem(v, 0, ctx)) == k
+
+
+def test_full_dossier_grows_one_shared_ball(monkeypatch):
+    calls = {"bfs_word_length": 0, "_grow": 0}
+    for name in calls:
+        original = getattr(lengrp.groups, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (lengrp, lengrp.groups, lengrp.classify):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    build_dossier(CONNER, "full", max_radius=12)
+    assert calls["bfs_word_length"] == 0
+    assert 0 < calls["_grow"] <= 6  # ceil(max_radius / 2) levels
+
+
+def test_small_budget_dossier_pinned():
+    # the ball of [[2,1],[1,1]] holds 273 states at radius 4 and 663 at 5,
+    # so budget 300 answers e_i^k up to k = 7 and reads the rest partial
+    d = build_dossier(HYPERBOLIC, "estimates", budget=300)
+    for entry in d.evidence["stable_length"].values():
+        assert entry["ks"] == list(range(1, 8)) and entry["partial"]

@@ -2,10 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from lengrp.cli import main
 
 CONNER_ARG = "[[0,0,0,-1],[1,0,0,2],[0,1,0,-1],[0,0,1,2]]"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -23,6 +27,19 @@ def test_classify_golden(capsys):
     assert report["purely_positive_stable_word_length"] == "yes"
     assert {"claim": "purely positive (stable word length)", "lemma": "Corollary"} \
         in payload["dossier"]["verdicts"]
+
+
+@pytest.mark.parametrize("matrix, golden", [
+    (CONNER_ARG, "classify_full_r11_conner.json"),
+    ("[[2,1],[1,1]]", "classify_full_r11_hyperbolic.json"),
+])
+def test_classify_full_odd_radius_golden(capsys, monkeypatch, matrix, golden):
+    # odd radius: e_i^12 lies beyond it, so every estimate stops at k = 11
+    monkeypatch.delenv("LENGRP_MEMORY_BUDGET", raising=False)
+    code, out, _ = run(capsys, "classify", "--matrix", matrix, "--evidence", "full",
+                       "--radius", "11")
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_classify_identity(capsys):

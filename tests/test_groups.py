@@ -14,6 +14,7 @@ from lengrp.groups import (
     SdpContext,
     SdpElem,
     SdpGroup,
+    SharedBall,
     bfs_ball,
     bfs_word_length,
     parse_heis,
@@ -277,3 +278,50 @@ def test_bidirectional_matches_ball_on_sdp_property(data):
     for _ in range(5):
         g = data.draw(sdp_elems(ctx))
         assert bfs_word_length(group, g, 4) == table.word_length(g.key)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_shared_ball_matches_bidirectional_property(data):
+    # one ball answers every target; odd and even radii, t != 0, and None
+    ctx = data.draw(sdp_contexts)
+    group = SdpGroup(ctx)
+    max_radius = data.draw(st.integers(0, 8))
+    ball = SharedBall(group, max_radius)
+    for _ in range(8):
+        v = data.draw(st.tuples(*[st.integers(-2, 2)] * ctx.n))
+        g = SdpElem(v, data.draw(st.sampled_from([-2, -1, 1, 2, 0])), ctx)
+        assert ball.word_length(g) == bfs_word_length(group, g, max_radius)
+
+
+def test_shared_ball_odd_lengths_at_their_own_radius():
+    # a target of odd length d is found at max_radius = d, not read as None
+    group = SdpGroup(HYP_CTX)
+    table = bfs_ball(group, 7)
+    rng = random.Random(11)
+    for d in (1, 3, 5, 7):
+        sphere = [k for k, r in table.lengths.items() if r == d]
+        ball, short = SharedBall(group, d), SharedBall(group, d - 1)
+        for key in rng.sample(sorted(sphere), min(len(sphere), 120)):
+            assert ball.word_length(group.elem_of(key)) == d
+            assert short.word_length(group.elem_of(key)) is None
+
+
+def test_shared_ball_rejects_negative_radius():
+    with pytest.raises(PreconditionError):
+        SharedBall(SdpGroup(HYP_CTX), -1)
+
+
+def test_shared_ball_overrun_keeps_last_complete_radius():
+    group = SdpGroup(HYP_CTX)
+    ball = SharedBall(group, 12, budget=300)
+    for k in range(1, 8):
+        assert ball.word_length(SdpElem((k, 0), 0, HYP_CTX)) == k
+    for k in (8, 9, 8):  # each needs radius 5: 663 states
+        with pytest.raises(ResourceExhausted) as err:
+            ball.word_length(SdpElem((k, 0), 0, HYP_CTX))
+        assert str(err.value) == "state budget 300 exceeded at radius 5"
+        assert err.value.completed_radius == 4
+        assert ball.dist == bfs_ball(group, 4).lengths
+        assert [len(s) for s in ball.spheres] == [1, 6, 26, 70, 170]
+    assert ball.word_length(SdpElem((3, 0), 0, HYP_CTX)) == 3
