@@ -224,6 +224,8 @@ def test_sdp_ball_goldens():
 def test_bidirectional_rejects_negative_radius():
     with pytest.raises(PreconditionError):
         bfs_word_length(HeisenbergGroup(), HeisElem(0, 0, 0), -1)
+    with pytest.raises(PreconditionError):
+        SharedBall(SdpGroup(HYP_CTX), -1)
 
 
 small = st.integers(-4, 4)
@@ -305,11 +307,6 @@ def test_shared_ball_odd_lengths_at_their_own_radius():
         for key in rng.sample(sorted(sphere), min(len(sphere), 120)):
             assert ball.word_length(group.elem_of(key)) == d
             assert short.word_length(group.elem_of(key)) is None
-
-
-def test_shared_ball_rejects_negative_radius():
-    with pytest.raises(PreconditionError):
-        SharedBall(SdpGroup(HYP_CTX), -1)
 
 
 def test_shared_ball_overrun_keeps_last_complete_radius():
