@@ -7,6 +7,7 @@ tag strings below are part of the stable output schema.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -80,8 +81,13 @@ def _verdicts_from_report(report: SpectralReport, n: int) -> list[Verdict]:
     return out
 
 
+def _generator_name(i: int) -> str:
+    """'e1', 'e2', ...: interned, so all dossiers share their key strings."""
+    return sys.intern(f"e{i + 1}")
+
+
 def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> LengthEvaluator:
-    ball = SharedBall(SdpGroup(ctx), max_radius, budget)
+    ball = SharedBall(SdpGroup(ctx, max_radius), max_radius, budget)
 
     def func(g: SdpElem) -> int:
         value = ball.word_length(g)
@@ -95,21 +101,26 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> Leng
 def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int) -> dict:
     ctx = SdpContext(a)
     length = _sdp_length_evaluator(ctx, max_radius, budget)
-    # equal ratios share one float, and the infimum reuses them: callers
-    # that keep many dossiers keep fewer objects
+    # equal ratios share one float, equal lists one list and equal entries
+    # one dict: callers that keep many dossiers keep fewer objects
     floats: dict = {}
+    share = {}.setdefault  # key -> the one list or entry with that value
     table = {}
     for i in range(a.n):
         e_i = SdpElem(tuple(1 if j == i else 0 for j in range(a.n)), 0, ctx)
         est = stable_length_estimate(length, e_i, k_max)
         inf = est.infimum
-        table[f"e{i + 1}"] = {
-            "ks": [k for k, _, _ in est.samples],
-            "ratios": [floats.setdefault(r, float(r)) for _, _, r in est.samples],
-            "running_infimum": [floats[r] for r in est.running_infimum],
+        ks = tuple(k for k, _, _ in est.samples)
+        ratios = tuple(floats.setdefault(r, float(r)) for _, _, r in est.samples)
+        running = tuple(floats[r] for r in est.running_infimum)
+        trend = inf is not None and float(inf) < TREND_THRESHOLD
+        table[_generator_name(i)] = share((ks, ratios, running, est.partial, trend), {
+            "ks": share(("ks", *ks), list(ks)),
+            "ratios": share(("float", *ratios), list(ratios)),
+            "running_infimum": share(("float", *running), list(running)),
             "partial": est.partial,
-            "trend_to_zero": inf is not None and float(inf) < TREND_THRESHOLD,
-        }
+            "trend_to_zero": trend,
+        })
     return table
 
 
@@ -122,7 +133,7 @@ def _seminorm_table(a: IntMatrix, m: IntPolynomial) -> dict:
     # exact: P e = 0 iff lam is not a root of the annihilator of e
     positive = [vanishes_at(IntPolynomial.from_fractions(_annihilator_of_vector(a, e)), root)
                 for e in basis]
-    values = {f"e{i + 1}": sem.evaluate(e) if pos else 0.0
+    values = {_generator_name(i): sem.evaluate(e) if pos else 0.0
               for i, (e, pos) in enumerate(zip(basis, positive))}
     return {"values": values, "all_positive": all(positive)}
 

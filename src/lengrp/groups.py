@@ -8,17 +8,19 @@ symmetric generating sets.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
-from operator import add
-from typing import Dict, Iterator, Optional
+from typing import Dict, Hashable, Iterator, Optional
 
 from .errors import PreconditionError, ResourceExhausted
 from .matrices import IntMatrix
 
 DEFAULT_STATE_BUDGET = 2_000_000
 
-Key = tuple
+Key = Hashable  # a coordinate tuple, or an SdpGroup's packed int
+_HASH_BITS = sys.hash_info.modulus.bit_length()  # ints hash modulo 2^61 - 1
 
 
 # -- Heisenberg ----------------------------------------------------------
@@ -92,10 +94,19 @@ class SdpContext:
         self.n = matrix.n
         self._powers: Dict[int, IntMatrix] = {0: IntMatrix.identity(matrix.n)}
 
+    @cached_property
+    def inverse(self) -> IntMatrix:
+        return self.matrix.inverse()
+
     def power(self, t: int) -> IntMatrix:
-        if t not in self._powers:
-            self._powers[t] = self.matrix.mat_pow(t)
-        return self._powers[t]
+        """A^t: one product from a cached A^(t -+ 1), else by squaring."""
+        p = self._powers.get(t)
+        if p is None:
+            base = self.matrix if t > 0 else self.inverse
+            prev = self._powers.get(t - 1 if t > 0 else t + 1)
+            p = prev @ base if prev is not None else base.mat_pow(abs(t))
+            self._powers[t] = p
+        return p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SdpContext) and self.matrix == other.matrix
@@ -123,7 +134,7 @@ class SdpElem:
 
     def __mul__(self, other: "SdpElem") -> "SdpElem":
         self._check(other)
-        av = self.ctx.power(self.t).apply(other.v)
+        av = self.ctx.power(self.t).apply(other.v) if self.t else other.v
         return SdpElem(tuple(a + b for a, b in zip(self.v, av)), self.t + other.t, self.ctx)
 
     def inverse(self) -> "SdpElem":
@@ -167,6 +178,9 @@ def parse_sdp(text: str, ctx: SdpContext) -> SdpElem:
 class HeisenbergGroup:
     """BFS adapter: keys are (x, y, z) triples; generators a^+-1, b^+-1."""
 
+    radius = None  # keys are the coordinates themselves: exact at every radius
+    pack = unpack = staticmethod(tuple)
+
     @property
     def identity_key(self) -> Key:
         return (0, 0, 0)
@@ -181,46 +195,104 @@ class HeisenbergGroup:
     def elem_of(self, k: Key) -> HeisElem:
         return HeisElem(*k)
 
-    def inverse_key(self, k: Key) -> Key:
-        return self.elem_of(k).inverse().key
-
 
 class SdpGroup:
-    """BFS adapter for Z^n x|_A Z; generators e_i^+-1, t^+-1."""
+    """BFS adapter for Z^n x|_A Z; generators e_i^+-1, t^+-1, for searches
+    of at most ``radius`` steps.
 
-    def __init__(self, ctx: SdpContext):
+    A key is one int: the balanced base-2^w digits of (t, v_1, ..., v_n),
+    lowest first, key(v, t) = t + sum_i v_i 2^(w i), every digit in
+    [-2^(w-1), 2^(w-1)).  Such digits are unique, so keys are injective on
+    that box, and key(x) + key(y) = key(x + y) holds for all integers.  A
+    neighbour is therefore one addition: key(v, t) + key(+-A^t e_i, 0) or
+    key(v, t) +- 1, from a step table cached per level t.
+
+    No carry.  Let N = max(||A||_inf, ||A^-1||_inf), the largest absolute
+    row sum; every entry of A^t is at most N^|t| in absolute value.
+    (1) An element of word length <= R = ``radius`` lies in the reach box
+    |t| <= R, |v_i| <= V = R N^R: each of its at most R letters e_i^+-1,
+    read at a level s with |s| < R, adds a column of A^s to v.
+    (2) For g in the reach box and |h| <= R, g h = (v_g + A^t_g v_h,
+    t_g + t_h) has |t| <= 2R and |v_i| <= V + R N^(2R) = D, since A^t_g v_h
+    sums at most R columns of powers A^(t_g + s) with |t_g + s| <= 2R.
+    2R <= D, and w is the least width with D < 2^(w-1) and w = 3 modulo
+    61, so every such key is exact.  The searches stay inside (1) and (2):
+    ``bfs_ball`` holds elements of length <= R, and ``bfs_word_length`` and
+    ``SharedBall`` translate a target g by elements of length <= R.
+    ``pack`` returns None outside the reach box, and such a g is farther
+    than R from the identity, so the searches answer it without a key.
+
+    Why w = 3 modulo 61: Python hashes an int modulo 2^61 - 1, so the
+    digits then enter the hash at bit offsets 0, 3, 6, ... and a dict's
+    slots depend on every coordinate.  At w = 30 they would depend on t
+    alone, and look-ups would probe long chains.
+    """
+
+    identity_key = 0
+
+    def __init__(self, ctx: SdpContext, radius: int):
+        if radius < 0:
+            raise PreconditionError("radius must be nonnegative")
         self.ctx = ctx
         self.n = ctx.n
+        self.radius = radius
+        norm = max(sum(map(abs, row)) for m in (ctx.matrix, ctx.inverse) for row in m.rows)
+        self._reach = radius * norm ** radius
+        width = (self._reach + radius * norm ** (2 * radius)).bit_length() + 1
+        self._width = width + (3 - width) % _HASH_BITS
+        self._half = 1 << (self._width - 1)
+        self._mask = (1 << self._width) - 1
+        self._steps: Dict[int, list[int]] = {}
 
-    @property
-    def identity_key(self) -> Key:
-        return (0,) * self.n + (0,)
-
-    def neighbors(self, k: Key) -> Iterator[Key]:
-        v, t = k[:-1], k[-1]
+    def _level_steps(self, t: int) -> list[int]:
+        steps = []
         for col in zip(*self.ctx.power(t).rows):
-            yield tuple(a + b for a, b in zip(v, col)) + (t,)
-            yield tuple(a - b for a, b in zip(v, col)) + (t,)
-        yield v + (t + 1,)
-        yield v + (t - 1,)
+            s = sum(c << (self._width * i) for i, c in enumerate(col, 1))
+            steps += (s, -s)
+        steps += (1, -1)
+        self._steps[t] = steps
+        return steps
 
-    def elem_of(self, k: Key) -> SdpElem:
-        return SdpElem(k[:-1], k[-1], self.ctx)
+    def neighbors(self, k: int) -> list[int]:
+        t = ((k + self._half) & self._mask) - self._half
+        return [k + s for s in self._steps.get(t) or self._level_steps(t)]
+
+    def pack(self, coords) -> Optional[int]:
+        """The key of (v_1, ..., v_n, t), or None outside the reach box."""
+        *v, t = coords
+        if len(v) != self.n or abs(t) > self.radius or any(abs(x) > self._reach for x in v):
+            return None
+        return t + sum(x << (self._width * i) for i, x in enumerate(v, 1))
+
+    def unpack(self, k: int) -> tuple:
+        """The coordinates (v_1, ..., v_n, t) of a key."""
+        digits = []
+        for _ in range(self.n + 1):
+            d = ((k + self._half) & self._mask) - self._half
+            digits.append(d)
+            k = (k - d) >> self._width
+        return (*digits[1:], digits[0])
+
+    def elem_of(self, k: int) -> SdpElem:
+        *v, t = self.unpack(k)
+        return SdpElem(tuple(v), t, self.ctx)
 
 
 @dataclass
 class BallTable:
-    """Exact word lengths for the ball of a given radius."""
+    """Exact word lengths for the ball of a given radius, keyed by the
+    group adapter's keys; look-ups take coordinate tuples."""
 
     radius: int
     lengths: Dict[Key, int]
     sphere_sizes: list[int]
+    group: object
 
-    def word_length(self, key: Key) -> Optional[int]:
-        return self.lengths.get(key)
+    def word_length(self, coords: tuple) -> Optional[int]:
+        return self.lengths.get(self.group.pack(coords))
 
-    def __contains__(self, key: Key) -> bool:
-        return key in self.lengths
+    def __contains__(self, coords: tuple) -> bool:
+        return self.group.pack(coords) in self.lengths
 
     @property
     def ball_size(self) -> int:
@@ -234,8 +306,9 @@ class BallTable:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["coordinates", "length"])
-            for key in sorted(self.lengths):
-                writer.writerow([" ".join(str(c) for c in key), self.lengths[key]])
+            unpack = self.group.unpack
+            for coords, d in sorted((unpack(k), d) for k, d in self.lengths.items()):
+                writer.writerow([" ".join(map(str, coords)), d])
 
 
 def _grow(group, frontier: list, dist: Dict[Key, int], r: int, limit: int,
@@ -254,6 +327,13 @@ def _grow(group, frontier: list, dist: Dict[Key, int], r: int, limit: int,
     return nxt
 
 
+def _check_radius(group, radius: int, name: str) -> None:
+    if radius < 0:
+        raise PreconditionError(f"{name} must be nonnegative")
+    if group.radius is not None and radius > group.radius:
+        raise PreconditionError(f"{name} {radius} exceeds the adapter's radius {group.radius}")
+
+
 def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTable:
     """Exact word length for every element within the given radius.
 
@@ -261,8 +341,7 @@ def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTabl
     traversal order.  Raises ResourceExhausted (with the radius completed so
     far) if more than ``budget`` states would be stored.
     """
-    if radius < 0:
-        raise PreconditionError("radius must be nonnegative")
+    _check_radius(group, radius, "radius")
     dist: Dict[Key, int] = {group.identity_key: 0}
     sphere_sizes = [1]
     frontier = [group.identity_key]
@@ -270,25 +349,28 @@ def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTabl
         frontier = _grow(group, frontier, dist, r, budget, r - 1,
                          f"state budget {budget} exceeded at radius {r}")
         sphere_sizes.append(len(frontier))
-    return BallTable(radius, dist, sphere_sizes)
+    return BallTable(radius, dist, sphere_sizes, group)
 
 
 def bfs_word_length(group, g, max_radius: int,
                     budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
     """Exact word length of g if it is at most max_radius, else None.
 
-    g is a group element (it has ``key``).  Bidirectional search: balls
-    grown around the identity and around g meet in the middle, doubling the
-    reachable radius for single-target queries.  Each step grows the smaller
-    frontier by one level (the identity side on ties) and looks its new
-    nodes up on the other side.
+    g is a group element (it has ``key``); one the adapter cannot pack is
+    farther than the adapter's radius and reads None.  Bidirectional
+    search: balls grown around the identity and around g meet in the
+    middle, doubling the reachable radius for single-target queries.  Each
+    step grows the smaller frontier by one level (the identity side on
+    ties) and looks its new nodes up on the other side.
     """
-    if max_radius < 0:
-        raise PreconditionError("max_radius must be nonnegative")
-    if g.key == group.identity_key:
+    _check_radius(group, max_radius, "max_radius")
+    start = group.pack(g.key)
+    if start is None:  # g is farther than the adapter's radius
+        return None
+    if start == group.identity_key:
         return 0
     # one [distances, frontier, radius] per side: the identity's, then g's
-    sides = [[{k: 0}, [k], 0] for k in (group.identity_key, g.key)]
+    sides = [[{k: 0}, [k], 0] for k in (group.identity_key, start)]
     best = max_radius + 1  # no meeting yet
     while (done := sides[0][2] + sides[1][2]) < max_radius and best > done:
         side, other = sides if len(sides[0][1]) <= len(sides[1][1]) else sides[::-1]
@@ -311,7 +393,9 @@ class SharedBall:
     the candidate |h| + |g h| bounds |g| from above.  ``word_length`` grows
     the ball B(R) lazily, one level at a time and never beyond radius
     ceil(max_radius/2), and scans h sphere by sphere for the best candidate
-    b with g h in B(R).
+    b with g h in B(R).  For g with t = 0 the key of g h is the sum of the
+    keys of g and h.  A target the group cannot pack is farther than its
+    radius, which is at least max_radius, and reads None at once.
 
     Midpoint invariant.  Let d = |g| and let R be the ball's radius while
     sphere s is scanned.  If s <= d <= s + R, a geodesic from 1 to g has a
@@ -331,18 +415,20 @@ class SharedBall:
     at sphere ceil(max_radius/2), scanned with the ball at that radius.
 
     The ball holds at most ``budget`` states.  A level that overruns it is
-    removed again, so the ball stays at its last complete radius, and every
-    later query that needs the next level raises ResourceExhausted again.
+    removed again, so the ball stays at its last complete radius.  When
+    level s + 1 overruns, sphere s is still scanned with R = s: that
+    settles every d <= 2s, and a candidate b <= sure = 2s + 1 is returned.
+    Otherwise ResourceExhausted is raised, and again by every later query
+    that gets that far.
     """
 
     def __init__(self, group: SdpGroup, max_radius: int,
                  budget: int = DEFAULT_STATE_BUDGET):
-        if max_radius < 0:
-            raise PreconditionError("max_radius must be nonnegative")
+        _check_radius(group, max_radius, "max_radius")
         self.group = group
         self.max_radius = max_radius
         self.budget = budget
-        self.dist: Dict[Key, int] = {group.identity_key: 0}
+        self.dist: Dict[int, int] = {group.identity_key: 0}
         self.spheres = [[group.identity_key]]
 
     def _extend(self) -> None:
@@ -357,23 +443,30 @@ class SharedBall:
             raise
         self.spheres.append(nxt)
 
-    def _translates(self, g: SdpElem, sphere: list) -> Iterator[Key]:
+    def _translates(self, g: SdpElem, key: int, sphere: list) -> Iterator[Optional[int]]:
         """The keys of g h for h in the sphere, one at a time."""
-        if g.t == 0:  # g h is plain coordinate addition of the keys
-            gk = g.key
-            return (tuple(map(add, gk, h)) for h in sphere)
-        return ((g * self.group.elem_of(h)).key for h in sphere)
+        if g.t == 0:  # g h = (v_g + v_h, t_h)
+            return map(key.__add__, sphere)
+        pack, elem_of = self.group.pack, self.group.elem_of
+        return (pack((g * elem_of(h)).key) for h in sphere)
 
     def word_length(self, g: SdpElem) -> Optional[int]:
         """Exact word length of g if it is at most max_radius, else None."""
+        key = self.group.pack(g.key)
+        if key is None:
+            return None
         top = (self.max_radius + 1) // 2
         get = self.dist.get
         best = self.max_radius + 1  # no candidate yet
         sure = 0  # every length below this would have been found
         for s in range(top + 1):
-            while len(self.spheres) <= min(s + 1, top):
-                self._extend()
-            for d in map(get, self._translates(g, self.spheres[s])):
+            overrun = None
+            try:
+                while len(self.spheres) <= min(s + 1, top):
+                    self._extend()
+            except ResourceExhausted as exc:
+                overrun = exc  # the ball keeps radius s
+            for d in map(get, self._translates(g, key, self.spheres[s])):
                 if d is not None and s + d < best:
                     best = s + d
                     if best <= sure:
@@ -381,4 +474,6 @@ class SharedBall:
             sure = s + len(self.spheres)  # s + R + 1
             if best <= sure:
                 break
+            if overrun is not None:
+                raise overrun
         return best if best <= self.max_radius else None

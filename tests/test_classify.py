@@ -258,7 +258,7 @@ def test_full_dossier_grows_one_shared_ball(monkeypatch):
 
 def test_small_budget_dossier_pinned():
     # the ball of [[2,1],[1,1]] holds 273 states at radius 4 and 663 at 5,
-    # so budget 300 answers e_i^k up to k = 7 and reads the rest partial
+    # so budget 300 answers e_i^k up to k = 8 = 2 * 4 and reads the rest partial
     d = build_dossier(HYPERBOLIC, "estimates", budget=300)
     for entry in d.evidence["stable_length"].values():
-        assert entry["ks"] == list(range(1, 8)) and entry["partial"]
+        assert entry["ks"] == list(range(1, 9)) and entry["partial"]

@@ -139,7 +139,7 @@ def test_ball_symmetric_under_inverse():
     group = HeisenbergGroup()
     table = bfs_ball(group, 6)
     for key, d in table.lengths.items():
-        assert table.word_length(group.inverse_key(key)) == d
+        assert table.word_length(HeisElem(*key).inverse().key) == d
 
 
 def test_ball_budget():
@@ -178,7 +178,7 @@ def test_bidirectional_bounds():
 
 
 def test_sdp_bidirectional_matches_ball():
-    group = SdpGroup(HYP_CTX)
+    group = SdpGroup(HYP_CTX, 6)
     table = bfs_ball(group, 5)
     rng = random.Random(7)
     keys = rng.sample(sorted(table.lengths), 40)
@@ -188,7 +188,7 @@ def test_sdp_bidirectional_matches_ball():
 
 def test_sdp_hyperbolic_compression():
     # the twist shortens large lattice vectors: d((16,0)) < 16
-    group = SdpGroup(HYP_CTX)
+    group = SdpGroup(HYP_CTX, 16)
     d = bfs_word_length(group, SdpElem((16, 0), 0, HYP_CTX), 16)
     assert d is not None and d < 16
 
@@ -216,7 +216,7 @@ def test_bidirectional_budget_pinned(budget, completed):
 
 
 def test_sdp_ball_goldens():
-    table = bfs_ball(SdpGroup(HYP_CTX), 10)
+    table = bfs_ball(SdpGroup(HYP_CTX, 10), 10)
     assert table.sphere_sizes == [1, 6, 26, 70, 170, 390, 858, 1834, 3922, 8270, 17270]
     assert table.ball_size == 32817
 
@@ -225,7 +225,7 @@ def test_bidirectional_rejects_negative_radius():
     with pytest.raises(PreconditionError):
         bfs_word_length(HeisenbergGroup(), HeisElem(0, 0, 0), -1)
     with pytest.raises(PreconditionError):
-        SharedBall(SdpGroup(HYP_CTX), -1)
+        SharedBall(SdpGroup(HYP_CTX, 0), -1)
 
 
 small = st.integers(-4, 4)
@@ -275,7 +275,7 @@ def test_bidirectional_matches_ball_on_heis_property(g):
 @given(st.data())
 def test_bidirectional_matches_ball_on_sdp_property(data):
     ctx = data.draw(sdp_contexts)
-    group = SdpGroup(ctx)
+    group = SdpGroup(ctx, 4)
     table = bfs_ball(group, 4)
     for _ in range(5):
         g = data.draw(sdp_elems(ctx))
@@ -287,8 +287,8 @@ def test_bidirectional_matches_ball_on_sdp_property(data):
 def test_shared_ball_matches_bidirectional_property(data):
     # one ball answers every target; odd and even radii, t != 0, and None
     ctx = data.draw(sdp_contexts)
-    group = SdpGroup(ctx)
     max_radius = data.draw(st.integers(0, 8))
+    group = SdpGroup(ctx, max_radius)
     ball = SharedBall(group, max_radius)
     for _ in range(8):
         v = data.draw(st.tuples(*[st.integers(-2, 2)] * ctx.n))
@@ -298,7 +298,7 @@ def test_shared_ball_matches_bidirectional_property(data):
 
 def test_shared_ball_odd_lengths_at_their_own_radius():
     # a target of odd length d is found at max_radius = d, not read as None
-    group = SdpGroup(HYP_CTX)
+    group = SdpGroup(HYP_CTX, 7)
     table = bfs_ball(group, 7)
     rng = random.Random(11)
     for d in (1, 3, 5, 7):
@@ -310,15 +310,114 @@ def test_shared_ball_odd_lengths_at_their_own_radius():
 
 
 def test_shared_ball_overrun_keeps_last_complete_radius():
-    group = SdpGroup(HYP_CTX)
+    group = SdpGroup(HYP_CTX, 12)
     ball = SharedBall(group, 12, budget=300)
-    for k in range(1, 8):
+    # radius 4 (273 states) settles every length <= 8; radius 5 needs 663
+    for k in range(1, 9):
         assert ball.word_length(SdpElem((k, 0), 0, HYP_CTX)) == k
-    for k in (8, 9, 8):  # each needs radius 5: 663 states
+    for k in (9, 9):
         with pytest.raises(ResourceExhausted) as err:
             ball.word_length(SdpElem((k, 0), 0, HYP_CTX))
         assert str(err.value) == "state budget 300 exceeded at radius 5"
         assert err.value.completed_radius == 4
         assert ball.dist == bfs_ball(group, 4).lengths
         assert [len(s) for s in ball.spheres] == [1, 6, 26, 70, 170]
+    assert ball.word_length(SdpElem((8, 0), 0, HYP_CTX)) == 8
     assert ball.word_length(SdpElem((3, 0), 0, HYP_CTX)) == 3
+
+
+def sdp_generators(ctx):
+    """e_1^+-1, ..., e_n^+-1, t^+-1: the order of SdpGroup.neighbors."""
+    gens = []
+    for i in range(ctx.n):
+        e_i = SdpElem(tuple(1 if j == i else 0 for j in range(ctx.n)), 0, ctx)
+        gens += (e_i, e_i.inverse())
+    t = SdpElem((0,) * ctx.n, 1, ctx)
+    return gens + [t, t.inverse()]
+
+
+def tuple_ball(ctx, radius):
+    """Word lengths by breadth-first search on tuple keys and the group law."""
+    gens = sdp_generators(ctx)
+    identity = SdpElem((0,) * ctx.n, 0, ctx)
+    lengths, frontier = {identity.key: 0}, [identity]
+    for r in range(1, radius + 1):
+        nxt = []
+        for g in frontier:
+            for h in (g * s for s in gens):
+                if h.key not in lengths:
+                    lengths[h.key] = r
+                    nxt.append(h)
+        frontier = nxt
+    return lengths
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_sdp_packed_keys_follow_the_group_law_property(data):
+    ctx = data.draw(sdp_contexts)
+    group = SdpGroup(ctx, data.draw(st.integers(4, 8)))
+    g = data.draw(sdp_elems(ctx))  # |v_i| <= 4, |t| <= 3: inside the reach box
+    key = group.pack(g.key)
+    assert group.unpack(key) == g.key and group.elem_of(key) == g
+    assert [group.unpack(k) for k in group.neighbors(key)] == [
+        (g * s).key for s in sdp_generators(ctx)]
+
+
+@pytest.mark.parametrize("k", [10 ** 7, -(10 ** 7)])
+def test_sdp_ball_with_coordinates_beyond_64_bits(k, tmp_path):
+    # entries of A^3 reach 10^21 > 2^64: a fixed 64-bit digit would carry
+    ctx = SdpContext(IntMatrix.from_rows([[k, 1], [-1, 0]]))
+    group = SdpGroup(ctx, 4)
+    table = bfs_ball(group, 4)
+    reference = tuple_ball(ctx, 4)
+    assert max(abs(c) for key in reference for c in key) > 2 ** 64
+    assert {group.unpack(key): d for key, d in table.lengths.items()} == reference
+    assert table.sphere_sizes == [sum(1 for d in reference.values() if d == r)
+                                  for r in range(5)]
+    out = tmp_path / "ball.csv"
+    table.to_csv(out)
+    assert out.read_text().splitlines()[1:] == [
+        f"{' '.join(map(str, key))},{d}" for key, d in sorted(reference.items())]
+    for key in random.Random(12).sample(sorted(reference), 40):
+        assert bfs_word_length(group, SdpElem(key[:-1], key[-1], ctx), 4) == reference[key]
+
+
+def test_shared_ball_far_target_reads_none_without_aliasing():
+    group = SdpGroup(HYP_CTX, 8)
+    radix = group.pack((1, 0, 0))  # the key of e_1 is the radix 2^w
+    # unchecked, (radix, 0; 0) would pack to radix^2, the key of e_2
+    assert radix * radix == group.pack((0, 1, 0))
+    ball = SharedBall(group, 8)
+    table = bfs_ball(group, 8)
+    for t in (0, 1):
+        far = SdpElem((radix, 0), t, HYP_CTX)
+        assert group.pack(far.key) is None
+        assert ball.word_length(far) is None
+        assert bfs_word_length(group, far, 8) is None
+        assert table.word_length(far.key) is None and far.key not in table
+    assert ball.word_length(SdpElem((0, 1), 0, HYP_CTX)) == 1
+
+
+def test_sdp_searches_stay_within_the_adapter_radius():
+    group = SdpGroup(HYP_CTX, 4)
+    g = SdpElem((1, 0), 0, HYP_CTX)
+    for search in (lambda: bfs_ball(group, 5), lambda: bfs_word_length(group, g, 5),
+                   lambda: SharedBall(group, 5)):
+        with pytest.raises(PreconditionError, match="exceeds the adapter's radius 4"):
+            search()
+    with pytest.raises(PreconditionError):
+        SdpGroup(HYP_CTX, -1)
+
+
+def test_sdp_context_powers_invert_once(monkeypatch):
+    conner = IntMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 1, 2]])
+    expected = {t: conner.mat_pow(t) for t in range(-12, 13)}
+    inversions = []
+    inverse = IntMatrix.inverse
+    monkeypatch.setattr(IntMatrix, "inverse", lambda m: inversions.append(m) or inverse(m))
+    ctx = SdpContext(conner)
+    # neighbouring powers, jumps that square, and repeats
+    for t in random.Random(13).sample(range(-9, 10), 19) + [-12, 12, -3, 11]:
+        assert ctx.power(t) == expected[t]
+    assert len(inversions) == 1
