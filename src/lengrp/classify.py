@@ -47,6 +47,8 @@ class ClassificationDossier:
     evidence: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The dossier as JSON types; the evidence's tuples are written as
+        arrays by ``json``."""
         return {
             "matrix": [list(row) for row in self.matrix.rows],
             "report": self.report.to_json_dict(),
@@ -81,13 +83,29 @@ def _verdicts_from_report(report: SpectralReport, n: int) -> list[Verdict]:
     return out
 
 
+class _ReadOnlyDict(dict):
+    """A dict that refuses changes, so equal evidence entries can be one
+    object without a change to one showing up in another."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("dossier evidence entries are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 def _generator_name(i: int) -> str:
     """'e1', 'e2', ...: interned, so all dossiers share their key strings."""
     return sys.intern(f"e{i + 1}")
 
 
 def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> LengthEvaluator:
-    ball = SharedBall(SdpGroup(ctx, max_radius), max_radius, budget)
+    ball = SharedBall(SdpGroup(ctx), max_radius, budget)
 
     def func(g: SdpElem) -> int:
         value = ball.word_length(g)
@@ -101,10 +119,11 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> Leng
 def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int) -> dict:
     ctx = SdpContext(a)
     length = _sdp_length_evaluator(ctx, max_radius, budget)
-    # equal ratios share one float, equal lists one list and equal entries
-    # one dict: callers that keep many dossiers keep fewer objects
+    # equal floats, tuples and entries within the dossier are one object:
+    # callers that keep many dossiers keep fewer objects, and sharing them
+    # is safe because none can change
     floats: dict = {}
-    share = {}.setdefault  # key -> the one list or entry with that value
+    shared: dict = {}
     table = {}
     for i in range(a.n):
         e_i = SdpElem(tuple(1 if j == i else 0 for j in range(a.n)), 0, ctx)
@@ -114,13 +133,14 @@ def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int)
         ratios = tuple(floats.setdefault(r, float(r)) for _, _, r in est.samples)
         running = tuple(floats[r] for r in est.running_infimum)
         trend = inf is not None and float(inf) < TREND_THRESHOLD
-        table[_generator_name(i)] = share((ks, ratios, running, est.partial, trend), {
-            "ks": share(("ks", *ks), list(ks)),
-            "ratios": share(("float", *ratios), list(ratios)),
-            "running_infimum": share(("float", *running), list(running)),
-            "partial": est.partial,
-            "trend_to_zero": trend,
-        })
+        entry = _ReadOnlyDict(
+            ks=shared.setdefault((int, ks), ks),
+            ratios=shared.setdefault((float, ratios), ratios),
+            running_infimum=shared.setdefault((float, running), running),
+            partial=est.partial,
+            trend_to_zero=trend,
+        )
+        table[_generator_name(i)] = shared.setdefault((ks, ratios, running, est.partial, trend), entry)
     return table
 
 

@@ -175,7 +175,7 @@ def cmd_ball(args) -> int:
     elif args.group == "sdp":
         if args.matrix is None:
             raise _ParseExit("--matrix is required for --group sdp")
-        group = SdpGroup(SdpContext(_parse_matrix(args.matrix)), args.radius)
+        group = SdpGroup(SdpContext(_parse_matrix(args.matrix)))
     else:
         raise _ParseExit(f"unknown group {args.group!r}")
     if args.out and not _writable(args.out):

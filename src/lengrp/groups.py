@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Hashable, Iterator, Optional
+from typing import Dict, Hashable, Iterable, Iterator, Optional
 
 from .errors import PreconditionError, ResourceExhausted
 from .matrices import IntMatrix
@@ -93,6 +93,7 @@ class SdpContext:
         self.matrix = matrix
         self.n = matrix.n
         self._powers: Dict[int, IntMatrix] = {0: IntMatrix.identity(matrix.n)}
+        self._max_entries: Dict[int, int] = {}
 
     @cached_property
     def inverse(self) -> IntMatrix:
@@ -107,6 +108,13 @@ class SdpContext:
             p = prev @ base if prev is not None else base.mat_pow(abs(t))
             self._powers[t] = p
         return p
+
+    def max_entry(self, t: int) -> int:
+        """The largest absolute entry of A^t."""
+        m = self._max_entries.get(t)
+        if m is None:
+            m = self._max_entries[t] = max(abs(x) for row in self.power(t).rows for x in row)
+        return m
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SdpContext) and self.matrix == other.matrix
@@ -178,12 +186,17 @@ def parse_sdp(text: str, ctx: SdpContext) -> SdpElem:
 class HeisenbergGroup:
     """BFS adapter: keys are (x, y, z) triples; generators a^+-1, b^+-1."""
 
-    radius = None  # keys are the coordinates themselves: exact at every radius
     pack = unpack = staticmethod(tuple)
 
     @property
     def identity_key(self) -> Key:
         return (0, 0, 0)
+
+    def fit(self, bound: int) -> "HeisenbergGroup":
+        return self  # keys are the coordinates themselves: exact at every size
+
+    def extent(self, r: int, coords: Optional[tuple] = None) -> int:
+        return 0
 
     def neighbors(self, k: Key) -> Iterator[Key]:
         x, y, z = k
@@ -197,30 +210,31 @@ class HeisenbergGroup:
 
 
 class SdpGroup:
-    """BFS adapter for Z^n x|_A Z; generators e_i^+-1, t^+-1, for searches
-    of at most ``radius`` steps.
+    """BFS adapter for Z^n x|_A Z; generators e_i^+-1, t^+-1.
 
     A key is one int: the balanced base-2^w digits of (t, v_1, ..., v_n),
-    lowest first, key(v, t) = t + sum_i v_i 2^(w i), every digit in
-    [-2^(w-1), 2^(w-1)).  Such digits are unique, so keys are injective on
-    that box, and key(x) + key(y) = key(x + y) holds for all integers.  A
-    neighbour is therefore one addition: key(v, t) + key(+-A^t e_i, 0) or
-    key(v, t) +- 1, from a step table cached per level t.
+    lowest first, key(v, t) = t + sum_i v_i 2^(w i).  key is linear, so
+    key(x) + key(y) = key(x + y) for all integer vectors, and a neighbour is
+    one addition: key(v, t) + key(+-A^t e_i, 0) or key(v, t) +- 1, from a
+    step table cached per level t.  Digits in [-2^(w-1), 2^(w-1)) are
+    unique, so keys are injective on the box of coordinates of absolute
+    value at most ``bound`` = 2^(w-1) - 1; ``pack`` returns None outside it.
 
-    No carry.  Let N = max(||A||_inf, ||A^-1||_inf), the largest absolute
-    row sum; every entry of A^t is at most N^|t| in absolute value.
-    (1) An element of word length <= R = ``radius`` lies in the reach box
-    |t| <= R, |v_i| <= V = R N^R: each of its at most R letters e_i^+-1,
-    read at a level s with |s| < R, adds a column of A^s to v.
-    (2) For g in the reach box and |h| <= R, g h = (v_g + A^t_g v_h,
-    t_g + t_h) has |t| <= 2R and |v_i| <= V + R N^(2R) = D, since A^t_g v_h
-    sums at most R columns of powers A^(t_g + s) with |t_g + s| <= 2R.
-    2R <= D, and w is the least width with D < 2^(w-1) and w = 3 modulo
-    61, so every such key is exact.  The searches stay inside (1) and (2):
-    ``bfs_ball`` holds elements of length <= R, and ``bfs_word_length`` and
-    ``SharedBall`` translate a target g by elements of length <= R.
-    ``pack`` returns None outside the reach box, and such a g is farther
-    than R from the identity, so the searches answer it without a key.
+    The searches keep every key they form inside the box.  Before a level
+    could leave it, a search takes ``fit(extent)``, an adapter over the
+    same twist with a wider w, and repacks the keys it holds.  So the width
+    follows the radius a search has reached, and the coordinates of its
+    target, never the radius it was asked for.  ``SdpGroup(ctx)`` starts
+    narrow; ``bound`` is the coordinate bound ``fit`` asks for.
+
+    Extent.  Let m(s) be the largest absolute entry of A^s.  A word h of
+    length <= r has |t_h| <= r and v_h = a signed sum of at most r columns
+    of A^s, one for each letter e_i^+-1, where s is the t of the prefix
+    before that letter, so |s| < r.  Then g h = (v_g + A^t_g v_h, t_g + t_h)
+    and A^t_g v_h sums at most r columns of A^(t_g + s), so every
+    coordinate of g h is at most
+    extent(r, g) = max(|t_g| + r, max_i |v_g,i| + r max_{|s| < r} m(t_g + s)).
+    With g = 1 that bounds the ball of radius r.
 
     Why w = 3 modulo 61: Python hashes an int modulo 2^61 - 1, so the
     digits then enter the hash at bit offsets 0, 3, 6, ... and a dict's
@@ -230,19 +244,27 @@ class SdpGroup:
 
     identity_key = 0
 
-    def __init__(self, ctx: SdpContext, radius: int):
-        if radius < 0:
-            raise PreconditionError("radius must be nonnegative")
+    def __init__(self, ctx: SdpContext, bound: int = 0):
         self.ctx = ctx
         self.n = ctx.n
-        self.radius = radius
-        norm = max(sum(map(abs, row)) for m in (ctx.matrix, ctx.inverse) for row in m.rows)
-        self._reach = radius * norm ** radius
-        width = (self._reach + radius * norm ** (2 * radius)).bit_length() + 1
+        width = abs(bound).bit_length() + 1  # |bound| < 2^(w-1)
         self._width = width + (3 - width) % _HASH_BITS
         self._half = 1 << (self._width - 1)
         self._mask = (1 << self._width) - 1
+        self.bound = self._half - 1
         self._steps: Dict[int, list[int]] = {}
+
+    def fit(self, bound: int) -> "SdpGroup":
+        """This adapter if its keys hold every coordinate up to bound, else
+        the narrowest one over the same twist that does."""
+        return self if bound <= self.bound else SdpGroup(self.ctx, bound)
+
+    def extent(self, r: int, coords: Optional[tuple] = None) -> int:
+        """extent(r, g) of the class docstring, for g = (v_1, ..., v_n, t)
+        or the identity."""
+        *v, t = coords or (0,)
+        top = max((self.ctx.max_entry(t + s) for s in range(1 - r, r)), default=0)
+        return max(abs(t) + r, max(map(abs, v), default=0) + r * top)
 
     def _level_steps(self, t: int) -> list[int]:
         steps = []
@@ -258,9 +280,9 @@ class SdpGroup:
         return [k + s for s in self._steps.get(t) or self._level_steps(t)]
 
     def pack(self, coords) -> Optional[int]:
-        """The key of (v_1, ..., v_n, t), or None outside the reach box."""
+        """The key of (v_1, ..., v_n, t), or None outside the box."""
         *v, t = coords
-        if len(v) != self.n or abs(t) > self.radius or any(abs(x) > self._reach for x in v):
+        if len(v) != self.n or max(map(abs, coords)) > self.bound:
             return None
         return t + sum(x << (self._width * i) for i, x in enumerate(v, 1))
 
@@ -280,8 +302,10 @@ class SdpGroup:
 
 @dataclass
 class BallTable:
-    """Exact word lengths for the ball of a given radius, keyed by the
-    group adapter's keys; look-ups take coordinate tuples."""
+    """Exact word lengths for the ball of a given radius, keyed by the keys
+    of ``group``, the adapter the ball was packed with (for SDP a wider
+    copy of the searched one once the ball outgrew its width); look-ups
+    take coordinate tuples."""
 
     radius: int
     lengths: Dict[Key, int]
@@ -327,11 +351,26 @@ def _grow(group, frontier: list, dist: Dict[Key, int], r: int, limit: int,
     return nxt
 
 
-def _check_radius(group, radius: int, name: str) -> None:
+def _refit(group, bound: int, dicts: list, lists: list):
+    """``group.fit(bound)``; when that is a wider adapter, the keys of the
+    given dicts and lists are repacked into it in place, in their order."""
+    wider = group.fit(bound)
+    if wider is not group:
+        def move(k):
+            return wider.pack(group.unpack(k))
+
+        for dist in dicts:
+            items = [(move(k), d) for k, d in dist.items()]
+            dist.clear()
+            dist.update(items)
+        for keys in lists:
+            keys[:] = map(move, keys)
+    return wider
+
+
+def _check_radius(radius: int, name: str) -> None:
     if radius < 0:
         raise PreconditionError(f"{name} must be nonnegative")
-    if group.radius is not None and radius > group.radius:
-        raise PreconditionError(f"{name} {radius} exceeds the adapter's radius {group.radius}")
 
 
 def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTable:
@@ -341,11 +380,12 @@ def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTabl
     traversal order.  Raises ResourceExhausted (with the radius completed so
     far) if more than ``budget`` states would be stored.
     """
-    _check_radius(group, radius, "radius")
+    _check_radius(radius, "radius")
     dist: Dict[Key, int] = {group.identity_key: 0}
     sphere_sizes = [1]
     frontier = [group.identity_key]
     for r in range(1, radius + 1):
+        group = _refit(group, group.extent(r), [dist], [frontier])
         frontier = _grow(group, frontier, dist, r, budget, r - 1,
                          f"state budget {budget} exceeded at radius {r}")
         sphere_sizes.append(len(frontier))
@@ -356,17 +396,16 @@ def bfs_word_length(group, g, max_radius: int,
                     budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
     """Exact word length of g if it is at most max_radius, else None.
 
-    g is a group element (it has ``key``); one the adapter cannot pack is
-    farther than the adapter's radius and reads None.  Bidirectional
-    search: balls grown around the identity and around g meet in the
-    middle, doubling the reachable radius for single-target queries.  Each
-    step grows the smaller frontier by one level (the identity side on
-    ties) and looks its new nodes up on the other side.
+    g is a group element (it has ``key``).  Bidirectional search: balls
+    grown around the identity and around g meet in the middle, doubling
+    the reachable radius for single-target queries.  Each step grows the
+    smaller frontier by one level (the identity side on ties) and looks its
+    new nodes up on the other side.
     """
-    _check_radius(group, max_radius, "max_radius")
-    start = group.pack(g.key)
-    if start is None:  # g is farther than the adapter's radius
-        return None
+    _check_radius(max_radius, "max_radius")
+    coords = g.key
+    group = group.fit(group.extent(0, coords))
+    start = group.pack(coords)
     if start == group.identity_key:
         return 0
     # one [distances, frontier, radius] per side: the identity's, then g's
@@ -377,6 +416,9 @@ def bfs_word_length(group, g, max_radius: int,
         dist, frontier, r = side
         other_dist = other[0]
         r += 1
+        r1, r2 = (r, other[2]) if side is sides[0] else (other[2], r)
+        group = _refit(group, max(group.extent(r1), group.extent(r2, coords)),
+                       [s[0] for s in sides], [s[1] for s in sides])
         nxt = _grow(group, frontier, dist, r, budget - len(other_dist), done,
                     f"state budget {budget} exceeded")
         side[1:] = nxt, r
@@ -394,8 +436,10 @@ class SharedBall:
     the ball B(R) lazily, one level at a time and never beyond radius
     ceil(max_radius/2), and scans h sphere by sphere for the best candidate
     b with g h in B(R).  For g with t = 0 the key of g h is the sum of the
-    keys of g and h.  A target the group cannot pack is farther than its
-    radius, which is at least max_radius, and reads None at once.
+    keys of g and h: no g h lies in B(R) once |v_g| exceeds twice the
+    ball's extent, and below that the ball widens its keys to hold
+    |v_g| + extent.  A target with |t| > max_radius is farther than
+    max_radius and reads None at once.
 
     Midpoint invariant.  Let d = |g| and let R be the ball's radius while
     sphere s is scanned.  If s <= d <= s + R, a geodesic from 1 to g has a
@@ -424,15 +468,18 @@ class SharedBall:
 
     def __init__(self, group: SdpGroup, max_radius: int,
                  budget: int = DEFAULT_STATE_BUDGET):
-        _check_radius(group, max_radius, "max_radius")
-        self.group = group
+        _check_radius(max_radius, "max_radius")
+        self.group = group  # replaced by a wider adapter as the ball grows
         self.max_radius = max_radius
         self.budget = budget
         self.dist: Dict[int, int] = {group.identity_key: 0}
         self.spheres = [[group.identity_key]]
+        self.extent = 0  # no coordinate of the ball exceeds this
 
     def _extend(self) -> None:
         r = len(self.spheres)
+        extent = self.group.extent(r)
+        self.group = _refit(self.group, extent, [self.dist], self.spheres)
         size = len(self.dist)
         try:
             nxt = _grow(self.group, self.spheres[-1], self.dist, r, self.budget, r - 1,
@@ -442,18 +489,24 @@ class SharedBall:
                 del self.dist[k]
             raise
         self.spheres.append(nxt)
+        self.extent = extent
 
-    def _translates(self, g: SdpElem, key: int, sphere: list) -> Iterator[Optional[int]]:
-        """The keys of g h for h in the sphere, one at a time."""
+    def _translates(self, g: SdpElem, sphere: list) -> Iterable[Optional[int]]:
+        """The keys of g h for h in the sphere, or None for those outside
+        the key box (they are outside the ball)."""
         if g.t == 0:  # g h = (v_g + v_h, t_h)
-            return map(key.__add__, sphere)
+            far = max(map(abs, g.v))
+            if far > 2 * self.extent:  # |v_g + v_h| > extent for every h
+                return ()
+            # no coordinate of g h exceeds far + extent <= 3 extent
+            self.group = _refit(self.group, far + self.extent, [self.dist], self.spheres)
+            return map(self.group.pack(g.key).__add__, sphere)
         pack, elem_of = self.group.pack, self.group.elem_of
         return (pack((g * elem_of(h)).key) for h in sphere)
 
     def word_length(self, g: SdpElem) -> Optional[int]:
         """Exact word length of g if it is at most max_radius, else None."""
-        key = self.group.pack(g.key)
-        if key is None:
+        if abs(g.t) > self.max_radius:
             return None
         top = (self.max_radius + 1) // 2
         get = self.dist.get
@@ -466,7 +519,7 @@ class SharedBall:
                     self._extend()
             except ResourceExhausted as exc:
                 overrun = exc  # the ball keeps radius s
-            for d in map(get, self._translates(g, key, self.spheres[s])):
+            for d in map(get, self._translates(g, self.spheres[s])):
                 if d is not None and s + d < best:
                     best = s + d
                     if best <= sure:

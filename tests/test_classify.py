@@ -1,4 +1,6 @@
+import copy
 import inspect
+import pickle
 import random
 
 import pytest
@@ -193,7 +195,7 @@ def test_estimates_beyond_max_radius_are_partial():
     # e_i^3 lies outside the radius-2 ball, so only k = 1, 2 are sampled
     d = build_dossier(HYPERBOLIC, "estimates", k_max=4, max_radius=2)
     for entry in d.evidence["stable_length"].values():
-        assert entry["partial"] and entry["ks"] == [1, 2]
+        assert entry["partial"] and entry["ks"] == (1, 2)
 
 
 def test_full_dossier_without_unit_circle_eigenvalue_has_no_seminorm():
@@ -234,9 +236,23 @@ def test_seminorm_table_zero_exactly_where_projector_kills(case):
 def test_conner_generator_powers_have_length_k():
     d = build_dossier(CONNER, "full")
     for entry in d.evidence["stable_length"].values():
-        assert entry["ks"] == list(range(1, 13)) and not entry["partial"]
+        assert entry["ks"] == tuple(range(1, 13)) and not entry["partial"]
         # |e_i^k| / k = 1 for every k, so |e_i^k| = k exactly
-        assert entry["ratios"] == entry["running_infimum"] == [1.0] * 12
+        assert entry["ratios"] == entry["running_infimum"] == (1.0,) * 12
+
+
+def test_equal_evidence_entries_are_one_read_only_object():
+    d = build_dossier(CONNER, "estimates", k_max=4, max_radius=8)
+    table = d.evidence["stable_length"]
+    assert table["e1"] is table["e4"]  # |e_i^k| = k for every i
+    for change in (lambda e: e.__setitem__("partial", True), lambda e: e.update(partial=True),
+                   lambda e: e.pop("ks"), lambda e: e.clear()):
+        with pytest.raises(TypeError):
+            change(table["e1"])
+    assert table["e4"] == {"ks": (1, 2, 3, 4), "ratios": (1.0,) * 4,
+                           "running_infimum": (1.0,) * 4, "partial": False,
+                           "trend_to_zero": False}
+    assert pickle.loads(pickle.dumps(table)) == table == copy.deepcopy(table)
 
 
 def test_full_dossier_grows_one_shared_ball(monkeypatch):
@@ -261,4 +277,4 @@ def test_small_budget_dossier_pinned():
     # so budget 300 answers e_i^k up to k = 8 = 2 * 4 and reads the rest partial
     d = build_dossier(HYPERBOLIC, "estimates", budget=300)
     for entry in d.evidence["stable_length"].values():
-        assert entry["ks"] == list(range(1, 9)) and entry["partial"]
+        assert entry["ks"] == tuple(range(1, 9)) and entry["partial"]

@@ -132,6 +132,19 @@ def test_ball_budget_env(capsys, monkeypatch):
     assert code == 1
 
 
+def test_huge_radius_stops_at_the_budget(capsys, monkeypatch):
+    # SDP keys widen with the radius a search reaches, not the one asked for
+    monkeypatch.setenv("LENGRP_MEMORY_BUDGET", "200")
+    code, out, err = run(capsys, "ball", "--group", "sdp", "--matrix", "[[2,1],[1,1]]",
+                         "--radius", "1000000")
+    assert code == 3 and out == "" and "state budget 200 exceeded at radius 4" in err
+    code, out, _ = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]", "--evidence", "full",
+                       "--radius", "100000")
+    assert code == 0
+    for entry in json.loads(out)["dossier"]["evidence"]["stable_length"].values():
+        assert entry["ks"] == list(range(1, 7)) and entry["partial"]
+
+
 def test_memory_budget_below_one_is_a_parse_error(capsys, monkeypatch):
     for bad in ("0", "-3"):
         monkeypatch.setenv("LENGRP_MEMORY_BUDGET", bad)

@@ -178,17 +178,17 @@ def test_bidirectional_bounds():
 
 
 def test_sdp_bidirectional_matches_ball():
-    group = SdpGroup(HYP_CTX, 6)
+    group = SdpGroup(HYP_CTX)
     table = bfs_ball(group, 5)
     rng = random.Random(7)
     keys = rng.sample(sorted(table.lengths), 40)
     for key in keys:
-        assert bfs_word_length(group, group.elem_of(key), 6) == table.lengths[key]
+        assert bfs_word_length(group, table.group.elem_of(key), 6) == table.lengths[key]
 
 
 def test_sdp_hyperbolic_compression():
     # the twist shortens large lattice vectors: d((16,0)) < 16
-    group = SdpGroup(HYP_CTX, 16)
+    group = SdpGroup(HYP_CTX)
     d = bfs_word_length(group, SdpElem((16, 0), 0, HYP_CTX), 16)
     assert d is not None and d < 16
 
@@ -216,7 +216,7 @@ def test_bidirectional_budget_pinned(budget, completed):
 
 
 def test_sdp_ball_goldens():
-    table = bfs_ball(SdpGroup(HYP_CTX, 10), 10)
+    table = bfs_ball(SdpGroup(HYP_CTX), 10)
     assert table.sphere_sizes == [1, 6, 26, 70, 170, 390, 858, 1834, 3922, 8270, 17270]
     assert table.ball_size == 32817
 
@@ -225,7 +225,7 @@ def test_bidirectional_rejects_negative_radius():
     with pytest.raises(PreconditionError):
         bfs_word_length(HeisenbergGroup(), HeisElem(0, 0, 0), -1)
     with pytest.raises(PreconditionError):
-        SharedBall(SdpGroup(HYP_CTX, 0), -1)
+        SharedBall(SdpGroup(HYP_CTX), -1)
 
 
 small = st.integers(-4, 4)
@@ -275,7 +275,7 @@ def test_bidirectional_matches_ball_on_heis_property(g):
 @given(st.data())
 def test_bidirectional_matches_ball_on_sdp_property(data):
     ctx = data.draw(sdp_contexts)
-    group = SdpGroup(ctx, 4)
+    group = SdpGroup(ctx)
     table = bfs_ball(group, 4)
     for _ in range(5):
         g = data.draw(sdp_elems(ctx))
@@ -288,7 +288,7 @@ def test_shared_ball_matches_bidirectional_property(data):
     # one ball answers every target; odd and even radii, t != 0, and None
     ctx = data.draw(sdp_contexts)
     max_radius = data.draw(st.integers(0, 8))
-    group = SdpGroup(ctx, max_radius)
+    group = SdpGroup(ctx)
     ball = SharedBall(group, max_radius)
     for _ in range(8):
         v = data.draw(st.tuples(*[st.integers(-2, 2)] * ctx.n))
@@ -298,19 +298,19 @@ def test_shared_ball_matches_bidirectional_property(data):
 
 def test_shared_ball_odd_lengths_at_their_own_radius():
     # a target of odd length d is found at max_radius = d, not read as None
-    group = SdpGroup(HYP_CTX, 7)
+    group = SdpGroup(HYP_CTX)
     table = bfs_ball(group, 7)
     rng = random.Random(11)
     for d in (1, 3, 5, 7):
         sphere = [k for k, r in table.lengths.items() if r == d]
         ball, short = SharedBall(group, d), SharedBall(group, d - 1)
         for key in rng.sample(sorted(sphere), min(len(sphere), 120)):
-            assert ball.word_length(group.elem_of(key)) == d
-            assert short.word_length(group.elem_of(key)) is None
+            assert ball.word_length(table.group.elem_of(key)) == d
+            assert short.word_length(table.group.elem_of(key)) is None
 
 
 def test_shared_ball_overrun_keeps_last_complete_radius():
-    group = SdpGroup(HYP_CTX, 12)
+    group = SdpGroup(HYP_CTX)
     ball = SharedBall(group, 12, budget=300)
     # radius 4 (273 states) settles every length <= 8; radius 5 needs 663
     for k in range(1, 9):
@@ -356,58 +356,79 @@ def tuple_ball(ctx, radius):
 @given(st.data())
 def test_sdp_packed_keys_follow_the_group_law_property(data):
     ctx = data.draw(sdp_contexts)
-    group = SdpGroup(ctx, data.draw(st.integers(4, 8)))
-    g = data.draw(sdp_elems(ctx))  # |v_i| <= 4, |t| <= 3: inside the reach box
+    g = data.draw(sdp_elems(ctx))
+    # the narrowest adapter that holds g's neighbours, or a much wider one
+    base = SdpGroup(ctx)
+    group = base.fit(base.extent(1, g.key) << data.draw(st.sampled_from([0, 70])))
     key = group.pack(g.key)
     assert group.unpack(key) == g.key and group.elem_of(key) == g
     assert [group.unpack(k) for k in group.neighbors(key)] == [
         (g * s).key for s in sdp_generators(ctx)]
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_sdp_extent_bounds_translated_balls_property(data):
+    ctx = data.draw(sdp_contexts)
+    g = data.draw(sdp_elems(ctx))
+    r = data.draw(st.integers(0, 3))
+    group = SdpGroup(ctx)
+    for coords in (None, g.key):
+        origin = SdpElem(coords[:-1], coords[-1], ctx) if coords else SdpElem((0,) * ctx.n, 0, ctx)
+        translated = [(origin * SdpElem(key[:-1], key[-1], ctx)).key for key in tuple_ball(ctx, r)]
+        assert max(abs(c) for key in translated for c in key) <= group.extent(r, coords)
+
+
 @pytest.mark.parametrize("k", [10 ** 7, -(10 ** 7)])
 def test_sdp_ball_with_coordinates_beyond_64_bits(k, tmp_path):
     # entries of A^3 reach 10^21 > 2^64: a fixed 64-bit digit would carry
     ctx = SdpContext(IntMatrix.from_rows([[k, 1], [-1, 0]]))
-    group = SdpGroup(ctx, 4)
+    group = SdpGroup(ctx)
     table = bfs_ball(group, 4)
     reference = tuple_ball(ctx, 4)
     assert max(abs(c) for key in reference for c in key) > 2 ** 64
-    assert {group.unpack(key): d for key, d in table.lengths.items()} == reference
+    assert table.group.bound > 2 ** 64  # the ball widened its keys as it grew
+    assert {table.group.unpack(key): d for key, d in table.lengths.items()} == reference
     assert table.sphere_sizes == [sum(1 for d in reference.values() if d == r)
                                   for r in range(5)]
     out = tmp_path / "ball.csv"
     table.to_csv(out)
     assert out.read_text().splitlines()[1:] == [
         f"{' '.join(map(str, key))},{d}" for key, d in sorted(reference.items())]
+    ball = SharedBall(group, 8)
     for key in random.Random(12).sample(sorted(reference), 40):
-        assert bfs_word_length(group, SdpElem(key[:-1], key[-1], ctx), 4) == reference[key]
+        g = SdpElem(key[:-1], key[-1], ctx)
+        assert bfs_word_length(group, g, 4) == reference[key]
+        assert ball.word_length(g) == reference[key]
 
 
 def test_shared_ball_far_target_reads_none_without_aliasing():
-    group = SdpGroup(HYP_CTX, 8)
-    radix = group.pack((1, 0, 0))  # the key of e_1 is the radix 2^w
+    group = SdpGroup(HYP_CTX)
+    table = bfs_ball(group, 4)
+    keys = table.group
+    radix = keys.pack((1, 0, 0))  # the key of e_1 is the radix 2^w
     # unchecked, (radix, 0; 0) would pack to radix^2, the key of e_2
-    assert radix * radix == group.pack((0, 1, 0))
+    assert radix * radix == keys.pack((0, 1, 0))
     ball = SharedBall(group, 8)
-    table = bfs_ball(group, 8)
     for t in (0, 1):
         far = SdpElem((radix, 0), t, HYP_CTX)
-        assert group.pack(far.key) is None
+        assert keys.pack(far.key) is None
         assert ball.word_length(far) is None
         assert bfs_word_length(group, far, 8) is None
         assert table.word_length(far.key) is None and far.key not in table
+    assert ball.group.bound == keys.bound  # the target did not widen the ball
     assert ball.word_length(SdpElem((0, 1), 0, HYP_CTX)) == 1
 
 
-def test_sdp_searches_stay_within_the_adapter_radius():
-    group = SdpGroup(HYP_CTX, 4)
-    g = SdpElem((1, 0), 0, HYP_CTX)
-    for search in (lambda: bfs_ball(group, 5), lambda: bfs_word_length(group, g, 5),
-                   lambda: SharedBall(group, 5)):
-        with pytest.raises(PreconditionError, match="exceeds the adapter's radius 4"):
-            search()
-    with pytest.raises(PreconditionError):
-        SdpGroup(HYP_CTX, -1)
+def test_sdp_key_width_follows_the_reached_radius():
+    # the budget stops the ball near radius 5, long before the radius asked for
+    with pytest.raises(ResourceExhausted) as err:
+        bfs_ball(SdpGroup(HYP_CTX), 10 ** 9, budget=300)
+    assert err.value.completed_radius == 4
+    ball = SharedBall(SdpGroup(HYP_CTX), 10 ** 9, budget=300)
+    assert ball.word_length(SdpElem((3, 0), 0, HYP_CTX)) == 3
+    assert ball.group.bound == 2 ** 63 - 1
+    assert ball.word_length(SdpElem((0,) * 2, 10 ** 9 + 1, HYP_CTX)) is None
 
 
 def test_sdp_context_powers_invert_once(monkeypatch):
