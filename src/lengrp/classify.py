@@ -10,13 +10,18 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import NumericalDegeneracyError, OracleExhausted, PreconditionError
 from .groups import DEFAULT_STATE_BUDGET, SdpContext, SdpElem, SdpGroup, SharedBall
-from .lengths import LengthEvaluator, _eigenline_seminorm, stable_length_estimate
+from .lengths import (
+    LengthEvaluator,
+    _eigen_functional,
+    _eigenline_seminorm,
+    stable_length_estimate,
+)
 from .matrices import IntMatrix, _annihilator_of_vector
-from .polynomials import IntPolynomial, vanishes_at
+from .polynomials import IntPolynomial, unit_circle_root, vanishes_at
 from .spectral import SpectralReport, classify_sdp
 
 TAG_FINITE = "Lemma finite"
@@ -104,11 +109,22 @@ def _generator_name(i: int) -> str:
     return sys.intern(f"e{i + 1}")
 
 
-def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> LengthEvaluator:
+def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int,
+                          exceeds: Optional[Callable[[SdpElem, int], bool]] = None
+                          ) -> LengthEvaluator:
+    """Exact word lengths up to max_radius.  The word e_1^v_1 ... e_n^v_n t^t
+    bounds |(v, t)| by ``upper`` = |v|_1 + |t|; a lower bound phi with
+    exceeds(g, c) only if phi(g) > c settles |g| = upper when
+    phi > upper - 1, and |g| > max_radius when phi > max_radius, without a
+    search.  Every other target is searched in one SharedBall."""
     ball = SharedBall(SdpGroup(ctx), max_radius, budget)
 
     def func(g: SdpElem) -> int:
-        value = ball.word_length(g)
+        upper = sum(map(abs, g.v)) + abs(g.t)
+        if exceeds is not None and exceeds(g, min(upper - 1, max_radius)):
+            value = upper if upper <= max_radius else None
+        else:
+            value = ball.word_length(g)
         if value is None:
             raise OracleExhausted(f"radius {max_radius} insufficient for {g.key}")
         return value
@@ -116,12 +132,16 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int) -> Leng
     return LengthEvaluator(name="sdp-wordlen", domain="sdp", func=func, exact=True)
 
 
-def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int) -> dict:
+def _generator_estimates(a: IntMatrix, report: SpectralReport, k_max: int, max_radius: int,
+                         budget: int) -> dict:
     ctx = SdpContext(a)
-    length = _sdp_length_evaluator(ctx, max_radius, budget)
-    # equal floats, tuples and entries within the dossier are one object:
-    # callers that keep many dossiers keep fewer objects, and sharing them
-    # is safe because none can change
+    m = report.minimal_poly
+    root = unit_circle_root(m) if report.has_unit_circle_eigenvalue else None
+    exceeds = _eigen_functional(a, m, root) if root is not None else None
+    length = _sdp_length_evaluator(ctx, max_radius, budget, exceeds)
+    # equal floats and tuples within the dossier, and equal entries across
+    # dossiers, are one object: callers that keep many dossiers keep fewer
+    # objects, and sharing them is safe because none can change
     floats: dict = {}
     shared: dict = {}
     table = {}
@@ -133,15 +153,19 @@ def _generator_estimates(a: IntMatrix, k_max: int, max_radius: int, budget: int)
         ratios = tuple(floats.setdefault(r, float(r)) for _, _, r in est.samples)
         running = tuple(floats[r] for r in est.running_infimum)
         trend = inf is not None and float(inf) < TREND_THRESHOLD
-        entry = _ReadOnlyDict(
-            ks=shared.setdefault((int, ks), ks),
-            ratios=shared.setdefault((float, ratios), ratios),
-            running_infimum=shared.setdefault((float, running), running),
-            partial=est.partial,
-            trend_to_zero=trend,
-        )
-        table[_generator_name(i)] = shared.setdefault((ks, ratios, running, est.partial, trend), entry)
+        table[_generator_name(i)] = _estimate_entry(
+            shared.setdefault((int, ks), ks), shared.setdefault((float, ratios), ratios),
+            shared.setdefault((float, running), running), est.partial, trend)
     return table
+
+
+@lru_cache(maxsize=1024)
+def _estimate_entry(ks: tuple, ratios: tuple, running: tuple, partial: bool,
+                    trend: bool) -> _ReadOnlyDict:
+    """Entries are read-only, so dossiers share one per value (ks holds
+    ints, the others floats, so equal arguments print equal JSON)."""
+    return _ReadOnlyDict(ks=ks, ratios=ratios, running_infimum=running, partial=partial,
+                         trend_to_zero=trend)
 
 
 def _seminorm_table(a: IntMatrix, m: IntPolynomial) -> dict:
@@ -177,7 +201,7 @@ def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
         verdicts=_verdicts_from_report(report, a.n),
     )
     if evidence_level in ("estimates", "full"):
-        dossier.evidence["stable_length"] = _generator_estimates(a, k_max, max_radius, budget)
+        dossier.evidence["stable_length"] = _generator_estimates(a, report, k_max, max_radius, budget)
     if evidence_level == "full":
         if report.has_unit_circle_eigenvalue:
             dossier.evidence["eigen_seminorm"] = _seminorm_table(a, report.minimal_poly)

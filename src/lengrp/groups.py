@@ -2,8 +2,11 @@
 
 Two families: the discrete Heisenberg group in upper-triangular coordinates
 (x, y, z), and semidirect products Z^n x|_A Z with twist A in GL_n(Z).
-Word lengths are computed by exact breadth-first search over the standard
-symmetric generating sets.
+Word lengths over the standard symmetric generating sets come from exact
+breadth-first search: a ball, a bidirectional single-target search, and a
+shared ball that answers many SDP targets.  The searches stop early on
+bounds that need no search: the length of an explicit word above, and
+coordinates that place a target outside the radius asked for.
 """
 from __future__ import annotations
 
@@ -266,6 +269,27 @@ class SdpGroup:
         top = max((self.ctx.max_entry(t + s) for s in range(1 - r, r)), default=0)
         return max(abs(t) + r, max(map(abs, v), default=0) + r * top)
 
+    def _outside(self, coords: tuple, r: int, budget: int) -> bool:
+        """True only if (v_1, ..., v_n, t) = coords lies outside the ball of
+        radius r: |t| > r, or some |v_i| > extent(r).  A^s and A^-s are
+        stepped outward from s = 0, nothing cached, until r m(+-s) reaches
+        max |v_i|: at most r products each.  For r > budget the scan is
+        skipped (False): a search that stores at most budget states ends
+        within about budget levels, so the scan could cost more than the
+        search it would save."""
+        *v, t = coords
+        if abs(t) > r:
+            return True
+        far = max(map(abs, v))
+        if far <= r or r > budget:
+            return False
+        fwd = back = IntMatrix.identity(self.n)
+        for _ in range(r):  # A^s and A^-s for s = 0, ..., r - 1
+            if r * max(abs(x) for p in (fwd, back) for row in p.rows for x in row) >= far:
+                return False
+            fwd, back = fwd @ self.ctx.matrix, back @ self.ctx.inverse
+        return True
+
     def _level_steps(self, t: int) -> list[int]:
         steps = []
         for col in zip(*self.ctx.power(t).rows):
@@ -400,10 +424,14 @@ def bfs_word_length(group, g, max_radius: int,
     grown around the identity and around g meet in the middle, doubling
     the reachable radius for single-target queries.  Each step grows the
     smaller frontier by one level (the identity side on ties) and looks its
-    new nodes up on the other side.
+    new nodes up on the other side.  An SDP target that its coordinates
+    place outside the ball of radius max_radius reads None before any key
+    is formed.
     """
     _check_radius(max_radius, "max_radius")
     coords = g.key
+    if isinstance(group, SdpGroup) and group._outside(coords, max_radius, budget):
+        return None
     group = group.fit(group.extent(0, coords))
     start = group.pack(coords)
     if start == group.identity_key:
@@ -453,15 +481,18 @@ class SharedBall:
 
     Stops.  After sphere s, ``sure`` = s + R + 1, and d >= sure unless d
     has been found.  So a candidate b <= sure is exact, whether it comes at
-    the end of sphere s or in the middle of sphere s + 1.  b starts at
-    max_radius + 1, so the scan also ends, with None, once
-    s + R >= max_radius: then d > max_radius.  That happens at the latest
-    at sphere ceil(max_radius/2), scanned with the ball at that radius.
+    the end of sphere s or in the middle of sphere s + 1.  b starts at the
+    length |v|_1 + |t| of the word e_1^v_1 ... e_n^v_n t^t for g = (v, t),
+    or at max_radius + 1 if that is smaller, so the scan also ends, with
+    None, once s + R >= max_radius: then d > max_radius.  That happens at
+    the latest at sphere ceil(max_radius/2), scanned with the ball at that
+    radius.
 
     The ball holds at most ``budget`` states.  A level that overruns it is
     removed again, so the ball stays at its last complete radius.  When
     level s + 1 overruns, sphere s is still scanned with R = s: that
-    settles every d <= 2s, and a candidate b <= sure = 2s + 1 is returned.
+    settles every d <= 2s, and a candidate b <= sure = 2s + 1 is returned,
+    the word's length included.
     Otherwise ResourceExhausted is raised, and again by every later query
     that gets that far.
     """
@@ -510,7 +541,8 @@ class SharedBall:
             return None
         top = (self.max_radius + 1) // 2
         get = self.dist.get
-        best = self.max_radius + 1  # no candidate yet
+        # the word e_1^v_1 ... e_n^v_n t^t, else "beyond max_radius"
+        best = min(self.max_radius + 1, sum(map(abs, g.v)) + abs(g.t))
         sure = 0  # every length below this would have been found
         for s in range(top + 1):
             overrun = None

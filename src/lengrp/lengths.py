@@ -29,6 +29,7 @@ from .groups import (
     HEIS_B,
     HeisElem,
     HeisenbergGroup,
+    SdpElem,
     bfs_ball,
     bfs_word_length,
 )
@@ -36,6 +37,7 @@ from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
     IntPolynomial,
     UnitRoot,
+    _dyadic_brackets,
     _fp,
     _fp_gcd,
     unit_circle_root,
@@ -302,9 +304,12 @@ def stable_length_estimate(length: LengthEvaluator, g, k_max: int) -> StableLeng
     skipped: list[int] = []
     partial = False
     values: dict[int, Value] = {}
+    power = g
     for k in range(1, k_max + 1):
+        if k > 1:
+            power = power * g  # g^k = g^(k-1) g
         try:
-            val = length.evaluate(g ** k)
+            val = length.evaluate(power)
         except CoverageGap:
             skipped.append(k)
             continue
@@ -398,38 +403,35 @@ def sqrt_bound_witness(length: LengthEvaluator, max_n: int) -> tuple[Fraction, F
 def _unit_circle_eigenvalue(root: UnitRoot):
     """lam at the working precision, from root = unit_circle_root(m).
 
-    lam is +-1, or (y0 + i*sqrt(4 - y0^2))/2 with y0 the only root of the
-    squarefree q in the dyadic interval (lo, hi], across which q changes
-    sign.  q is monic, so a rational y0 is -1, 0 or 1, taken exactly.
-    Otherwise bisection on the sign of q at dyadic points u/2^k, read off
-    the integer 2^(k deg q) q(u/2^k), brackets y0 until both ends round to
-    the same working-precision number, which is then y0 correctly rounded.
+    lam is +-1, or (y0 + i*sqrt(4 - y0^2))/2 with y0 bracketed by
+    polynomials._dyadic_brackets until both ends of a bracket round to the
+    same working-precision number, which is then y0 correctly rounded.
     """
     if isinstance(root, int):
         return mpmath.mpf(root)
-    q, lo, hi = root
-
-    def sign(u: int, k: int) -> int:
-        acc, scale = 0, 1
-        for c in reversed(q.coeffs):
-            acc, scale = acc * u + c * scale, scale << k
-        return (acc > 0) - (acc < 0)
-
-    k = max(lo.denominator, hi.denominator).bit_length() - 1
-    u, v = int(lo * 2 ** k), int(hi * 2 ** k)  # y0 in (u/2^k, v/2^k]
-    for t in (-1, 0, 1):
-        if lo < t <= hi and q(t) == 0:
-            u = v = t << k
-    sign_v = sign(v, k)
-    while mpmath.mpf((u, -k)) != mpmath.mpf((v, -k)):  # (mantissa, exponent), rounded
-        u, v, k = 2 * u, 2 * v, k + 1
-        mid = (u + v) // 2
-        if sign(mid, k) == sign_v:
-            v = mid
-        else:
-            u = mid
+    for u, v, k in _dyadic_brackets(root):
+        if mpmath.mpf((u, -k)) == mpmath.mpf((v, -k)):  # (mantissa, exponent), rounded
+            break
     y0 = mpmath.mpf((v, -k))
     return mpmath.mpc(y0 / 2, mpmath.sqrt(4 - y0 * y0) / 2)
+
+
+def _quotient_coeffs(m: IntPolynomial, lam) -> list:
+    """The coefficients of r = m / (x - lam), highest first, by Horner, for
+    a root lam of m in any number type (int, mpmath number or interval)."""
+    r, acc = [], 0
+    for c in reversed(m.coeffs[1:]):
+        acc = acc * lam + c
+        r.append(acc)
+    return r
+
+
+def _matrix_powers(a: IntMatrix, count: int) -> list[IntMatrix]:
+    """I, A, ..., A^(count - 1)."""
+    powers = [IntMatrix.identity(a.n)]
+    for _ in range(count - 1):
+        powers.append(powers[-1] @ a)
+    return powers
 
 
 def _eigenline(a: IntMatrix, m: IntPolynomial, dps: int):
@@ -448,17 +450,12 @@ def _eigenline(a: IntMatrix, m: IntPolynomial, dps: int):
         raise PreconditionError("matrix has no eigenvalue of modulus one")
     if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(m), _fp(m.derivative()))), root):
         raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
-    powers = [IntMatrix.identity(a.n)]
-    for _ in range(m.degree - 1):
-        powers.append(powers[-1] @ a)
+    powers = _matrix_powers(a, m.degree)
     big = max(abs(x) for pw in powers for row in pw.rows for x in row)
     guard = len(str(big * sum(abs(c) for c in m.coeffs)))
     with mpmath.workdps(dps + guard):
         lam = _unit_circle_eigenvalue(root)
-        r, acc = [], 0  # m = (x - lam)*r by Horner, highest coefficient first
-        for c in reversed(m.coeffs[1:]):
-            acc = acc * lam + c
-            r.append(acc)
+        r = _quotient_coeffs(m, lam)
         scale = 1 / mpmath.polyval(r, lam)
         proj = mpmath.matrix([[scale * mpmath.fsum(c * pw.rows[i][j]
                                                    for c, pw in zip(reversed(r), powers))
@@ -505,6 +502,89 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
     repeated root of m (A is not diagonalizable on that eigenvalue).
     """
     return _eigenline_seminorm(a, minimal_poly(a), dps)[1]
+
+
+# -- eigen-functional bound on semidirect-product word lengths -----------
+
+_FUNCTIONAL_BITS = 64  # bits of interval precision beyond the guard bits
+
+
+def _eigen_functional(a: IntMatrix, m: IntPolynomial,
+                      root: UnitRoot) -> Optional[Callable[[SdpElem, int], bool]]:
+    """exceeds(g, c), True only if phi(g) > c, for the lower bound
+
+        phi(v, t) = |t| + |rho . v| / max_i |rho_i|  <=  |(v, t)|
+
+    on word lengths in Z^n x|_A Z, where A has minimal polynomial m, lam is
+    the eigenvalue located by root = unit_circle_root(m), m = (x - lam) r
+    and rho is the first nonzero row of r(A).
+
+    Proof.  r(A)(A - lam) = m(A) = 0, so rho A = lam rho, even when lam is
+    a repeated root of m; and r(A) != 0 as deg r < deg m.  The letter
+    e_i^+-1 moves (v, t) to (v +- A^t e_i, t), and rho . A^t e_i =
+    lam^t rho_i has modulus |rho_i|, as |lam| = 1; the letter t^+-1 moves t
+    by one.  So phi is 1-Lipschitz on the Cayley graph, and phi(1) = 0.
+
+    Exactness.  For lam = +-1, r has integer coefficients and rho is an
+    integer row.  Otherwise lam is enclosed by outward-rounded mpmath.iv
+    intervals from a dyadic bracket of y0 = lam + 1/lam (one of lam and
+    its conjugate; both are roots of m), rho by the intervals that r(A)
+    gives, and each interval end is rounded outward to an integer over
+    2^bits.  The test then bounds |rho . v|^2 below and max_i |rho_i|^2
+    above in integer arithmetic; an enclosure too wide to decide reads
+    False, and None is returned when no row is certainly nonzero.
+    """
+    powers = _matrix_powers(a, m.degree)
+    iv, saved = mpmath.iv, mpmath.iv.prec
+    try:
+        if isinstance(root, int):
+            bits, lam = 0, root
+
+            def ends(z: int):
+                return (z, z), (0, 0)
+        else:
+            big = max(abs(x) for pw in powers for row in pw.rows for x in row)
+            bits = _FUNCTIONAL_BITS + (big * sum(map(abs, m.coeffs))).bit_length()
+            u, v, k = next(b for b in _dyadic_brackets(root)
+                           if (b[1] - b[0]) << bits <= 1 << b[2])
+            iv.prec = bits
+            y0 = iv.mpf([u, v]) / 2 ** k
+            lam = iv.mpc(y0 / 2, iv.sqrt(4 - y0 ** 2) / 2)
+
+            def ends(z):
+                return _outward_ints(z.real, bits), _outward_ints(z.imag, bits)
+        r = _quotient_coeffs(m, lam)[::-1]
+        for i in range(a.n):
+            rho = [ends(sum(c * pw.rows[i][j] for c, pw in zip(r, powers))) for j in range(a.n)]
+            if any(lo > 0 or hi < 0 for part in rho for lo, hi in part):
+                break
+        else:
+            return None  # no row of the enclosure is certainly nonzero
+    finally:
+        iv.prec = saved
+    # max_i |rho_i|^2 from above, times 4^bits
+    top = max(max(-lo, hi) ** 2 + max(-lo2, hi2) ** 2 for (lo, hi), (lo2, hi2) in rho)
+    parts = list(zip(*rho))  # the real parts of rho, then the imaginary parts
+
+    def exceeds(g: SdpElem, c: int) -> bool:
+        d = c - abs(g.t)
+        if d < 0:
+            return True
+        low = 0  # |rho . v|^2 from below, times 4^bits
+        for part in parts:
+            lo = sum(min(x * e_lo, x * e_hi) for x, (e_lo, e_hi) in zip(g.v, part))
+            hi = sum(max(x * e_lo, x * e_hi) for x, (e_lo, e_hi) in zip(g.v, part))
+            low += max(lo, -hi, 0) ** 2
+        return low > d * d * top
+
+    return exceeds
+
+
+def _outward_ints(x, bits: int) -> tuple[int, int]:
+    """(floor(2^bits a), ceil(2^bits b)) for the mpmath.iv interval [a, b]."""
+    with mpmath.workprec(mpmath.iv.prec):
+        lo, hi = (mpmath.ldexp(mpmath.mpf(e), bits) for e in (x.a, x.b))
+    return int(mpmath.floor(lo)), int(mpmath.ceil(hi))
 
 
 # -- axiom checking ------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import PreconditionError
 
@@ -269,6 +269,40 @@ def unit_circle_root(p: IntPolynomial) -> Optional[UnitRoot]:
         left = variations(lo) - variations(mid)
         lo, hi, count = (lo, mid, left) if left else (mid, hi, count)
     return (q, lo, hi) if count else None
+
+
+def _dyadic_brackets(root: tuple[IntPolynomial, Fraction, Fraction]) -> Iterator[tuple[int, int, int]]:
+    """Ever narrower brackets (u, v, k) of y0, from root = (q, lo, hi) of
+    unit_circle_root: y0 in [u/2^k, v/2^k], and v - u stays fixed while k
+    grows by one per bracket.
+
+    q is monic, so a rational y0 is -1, 0 or 1, taken exactly: u = v.
+    Otherwise y0 is the only root of q in (u/2^k, v/2^k], across which q
+    changes sign; bisection keeps the half that holds the sign change,
+    reading the sign of q at u/2^k off the integer 2^(k deg q) q(u/2^k).
+    """
+    q, lo, hi = root
+
+    def sign(u: int, k: int) -> int:
+        acc, scale = 0, 1
+        for c in reversed(q.coeffs):
+            acc, scale = acc * u + c * scale, scale << k
+        return (acc > 0) - (acc < 0)
+
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    u, v = int(lo * 2 ** k), int(hi * 2 ** k)  # y0 in (u/2^k, v/2^k]
+    for t in (-1, 0, 1):
+        if lo < t <= hi and q(t) == 0:
+            u = v = t << k
+    sign_v = sign(v, k)
+    while True:
+        yield u, v, k
+        u, v, k = 2 * u, 2 * v, k + 1
+        mid = (u + v) // 2
+        if sign(mid, k) == sign_v:
+            v = mid
+        else:
+            u = mid
 
 
 def vanishes_at(p: IntPolynomial, root: UnitRoot) -> bool:

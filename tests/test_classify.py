@@ -1,21 +1,28 @@
 import copy
 import inspect
+import json
 import pickle
 import random
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lengrp
 from lengrp.classify import (
     CLAIM_UNDECIDED,
     ClassificationDossier,
+    _sdp_length_evaluator,
     _seminorm_table,
     build_dossier,
 )
 from lengrp.cli import _budget
-from lengrp.errors import PreconditionError
+from lengrp.errors import OracleExhausted, PreconditionError
+from lengrp.groups import SdpContext, SdpElem, SdpGroup, SharedBall, bfs_ball
+from lengrp.lengths import _eigen_functional
 from lengrp.matrices import IntMatrix, minimal_poly
+from lengrp.polynomials import unit_circle_root
 
 from test_lengths import (
     DEROGATORY,
@@ -30,6 +37,8 @@ from test_matrices import (
     PROPERTY_SETTINGS,
     ROTATION,
     block_diag,
+    companion,
+    elementary_products,
     random_glz,
 )
 
@@ -253,6 +262,9 @@ def test_equal_evidence_entries_are_one_read_only_object():
                            "running_infimum": (1.0,) * 4, "partial": False,
                            "trend_to_zero": False}
     assert pickle.loads(pickle.dumps(table)) == table == copy.deepcopy(table)
+    # and so is an equal entry of another dossier
+    assert build_dossier(CONNER, "estimates", k_max=4, max_radius=8) \
+        .evidence["stable_length"]["e2"] is table["e1"]
 
 
 def test_full_dossier_grows_one_shared_ball(monkeypatch):
@@ -269,12 +281,96 @@ def test_full_dossier_grows_one_shared_ball(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     build_dossier(CONNER, "full", max_radius=12)
     assert calls["bfs_word_length"] == 0
-    assert 0 < calls["_grow"] <= 6  # ceil(max_radius / 2) levels
+    assert calls["_grow"] == 0  # the eigen-functional settles every |e_i^k| = k
 
 
 def test_small_budget_dossier_pinned():
-    # the ball of [[2,1],[1,1]] holds 273 states at radius 4 and 663 at 5,
-    # so budget 300 answers e_i^k up to k = 8 = 2 * 4 and reads the rest partial
+    # the ball of [[2,1],[1,1]] holds 273 states at radius 4 and 663 at 5, so
+    # budget 300 keeps radius 4: with sphere 4 scanned it excludes every
+    # length <= 8, and the word e_i^9 gives 9; so e_i^k is answered up to
+    # k = 9 = 2 * 4 + 1 and the rest read partial
     d = build_dossier(HYPERBOLIC, "estimates", budget=300)
     for entry in d.evidence["stable_length"].values():
-        assert entry["ks"] == tuple(range(1, 9)) and entry["partial"]
+        assert entry["ks"] == tuple(range(1, 10)) and entry["partial"]
+
+
+# the full dossiers, at the default settings, of the 47 distinct twists that
+# the sdp-evidence benchmark draws for seeds 1-10 and 1001, one JSON line each
+DOSSIER_GOLDEN = Path(__file__).parent / "golden" / "sdp_evidence_full_dossiers.jsonl"
+
+
+def golden_dossier_lines():
+    return DOSSIER_GOLDEN.read_text().splitlines(keepends=True)
+
+
+def test_full_dossiers_match_golden():
+    lines = golden_dossier_lines()
+    assert len(lines) == 47
+    for line in lines:
+        a = IntMatrix.from_rows(json.loads(line)["matrix"])
+        assert json.dumps(build_dossier(a, "full").to_json_dict(), sort_keys=True) + "\n" == line
+
+
+def test_settled_lengths_match_the_shared_ball():
+    # every |e_i^k| the eigen-functional settles, as the full dossier asks
+    # it, is the length the shared ball finds by search
+    settled = {}
+    for line in golden_dossier_lines():
+        a = IntMatrix.from_rows(json.loads(line)["matrix"])
+        m = minimal_poly(a)
+        root = unit_circle_root(m)
+        if root is None:
+            continue
+        exceeds = _eigen_functional(a, m, root)
+        ctx = SdpContext(a)
+        ball = SharedBall(SdpGroup(ctx), 12)
+        count = 0
+        for i in range(a.n):
+            for k in range(1, 13):
+                g = SdpElem(tuple(k if j == i else 0 for j in range(a.n)), 0, ctx)
+                if exceeds(g, k - 1):
+                    assert ball.word_length(g) == k
+                    count += 1
+        settled[a] = count
+    assert settled[CONNER] == 48
+    assert len(settled) == 29 and sum(settled.values()) >= 637
+
+
+# twists with an eigenvalue of modulus one, conjugated below: rotations of
+# order 3, 4 and 6 (complex lam), +-1 simple and defective, and at n = 3
+# unipotent, derogatory, and +-1 beside a hyperbolic pair, with m
+# palindromic or not
+FUNCTIONAL_BLOCKS = [
+    companion([1, 0]), companion([1, 1]), companion([1, -1]), [[1, 1], [0, 1]],
+    [[-1, 1], [0, -1]], [[-1, 0], [0, 1]], [[1, 0], [0, 1]],
+    [[1, 0, 0], [1, 1, 1], [0, 0, 1]], companion([-1, 3, -3]), companion([-1, 4, -4]),
+    companion([1, 0, -2]), companion([-1, -2, 0]), companion([1, 1, 1]), companion([-1, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("block", FUNCTIONAL_BLOCKS)
+@settings(max_examples=3, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_eigen_functional_bounds_and_settles_word_lengths(block, data):
+    # on the whole ball of radius 4: phi(g) <= |g| (exceeds(g, |g|) never
+    # holds), phi settles some lengths, and the dossier's evaluator, which
+    # settles what phi allows and searches the rest, answers every length
+    p = data.draw(elementary_products(len(block), 3))
+    a = p @ IntMatrix.from_rows(block) @ p.inverse()
+    m = minimal_poly(a)
+    exceeds = _eigen_functional(a, m, unit_circle_root(m))
+    ctx = SdpContext(a)
+    table = bfs_ball(SdpGroup(ctx), 4)
+    lengths = [_sdp_length_evaluator(ctx, r, 10 ** 5, exceeds) for r in (3, 4)]
+    settled = 0
+    for key, d in table.lengths.items():
+        g = table.group.elem_of(key)
+        assert not exceeds(g, d)
+        settled += exceeds(g, d - 1) and any(g.v)
+        assert lengths[1].evaluate(g) == d
+        if d == 4:
+            with pytest.raises(OracleExhausted):
+                lengths[0].evaluate(g)
+        else:
+            assert lengths[0].evaluate(g) == d
+    assert settled

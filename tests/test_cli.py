@@ -141,8 +141,10 @@ def test_huge_radius_stops_at_the_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, "classify", "--matrix", "[[2,1],[1,1]]", "--evidence", "full",
                        "--radius", "100000")
     assert code == 0
+    # budget 200 keeps radius 3 (103 states): with sphere 3 scanned it
+    # excludes every length <= 6, and the word e_i^7 gives 7
     for entry in json.loads(out)["dossier"]["evidence"]["stable_length"].values():
-        assert entry["ks"] == list(range(1, 7)) and entry["partial"]
+        assert entry["ks"] == list(range(1, 8)) and entry["partial"]
 
 
 def test_memory_budget_below_one_is_a_parse_error(capsys, monkeypatch):

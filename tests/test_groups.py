@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -312,17 +313,19 @@ def test_shared_ball_odd_lengths_at_their_own_radius():
 def test_shared_ball_overrun_keeps_last_complete_radius():
     group = SdpGroup(HYP_CTX)
     ball = SharedBall(group, 12, budget=300)
-    # radius 4 (273 states) settles every length <= 8; radius 5 needs 663
-    for k in range(1, 9):
+    # radius 4 (273 states) holds; radius 5 needs 663.  The ball kept at
+    # radius 4, with sphere 4 scanned, excludes every length d <= 8, and the
+    # word e1^9 gives 9, so |e1^9| = 9; nothing settles |e1^10|
+    for k in range(1, 10):
         assert ball.word_length(SdpElem((k, 0), 0, HYP_CTX)) == k
-    for k in (9, 9):
+    for k in (10, 10):
         with pytest.raises(ResourceExhausted) as err:
             ball.word_length(SdpElem((k, 0), 0, HYP_CTX))
         assert str(err.value) == "state budget 300 exceeded at radius 5"
         assert err.value.completed_radius == 4
         assert ball.dist == bfs_ball(group, 4).lengths
         assert [len(s) for s in ball.spheres] == [1, 6, 26, 70, 170]
-    assert ball.word_length(SdpElem((8, 0), 0, HYP_CTX)) == 8
+    assert ball.word_length(SdpElem((9, 0), 0, HYP_CTX)) == 9
     assert ball.word_length(SdpElem((3, 0), 0, HYP_CTX)) == 3
 
 
@@ -418,6 +421,50 @@ def test_shared_ball_far_target_reads_none_without_aliasing():
         assert table.word_length(far.key) is None and far.key not in table
     assert ball.group.bound == keys.bound  # the target did not widen the ball
     assert ball.word_length(SdpElem((0, 1), 0, HYP_CTX)) == 1
+
+
+def test_far_sdp_target_reads_none_before_any_key():
+    # every coordinate of the ball of radius 300 is at most extent(300), far
+    # below 2^100000; unchecked, the search held 7.7 MB of such wide keys
+    group = SdpGroup(HYP_CTX)
+    assert group.extent(300) < 2 ** 100000
+    for g in (SdpElem((2 ** 100000, 0), 0, HYP_CTX), SdpElem((1, 0), 301, HYP_CTX)):
+        tracemalloc.start()
+        try:
+            assert bfs_word_length(group, g, 300, budget=300) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(sdp_contexts)
+def test_no_element_of_a_ball_reads_as_outside_it(ctx):
+    group = SdpGroup(ctx)
+    table = bfs_ball(group, 3)
+    for key, d in table.lengths.items():
+        coords = table.group.unpack(key)
+        assert not any(group._outside(coords, r, 300) for r in range(d, 5))
+        if d:
+            assert group._outside(coords, 0, 300)
+    # the scan decides exactly |v_i| > extent(r), and |t| > r
+    for r in range(5):
+        e = group.extent(r)
+        for i in range(ctx.n):
+            v = [0] * ctx.n
+            v[i] = -e
+            assert not group._outside((*v, r), r, 300)
+            v[i] = e + 1
+            assert group._outside((*v, 0), r, 300)
+        assert group._outside((*[0] * ctx.n, r + 1), r, 300)
+
+
+def test_heisenberg_targets_beyond_their_coordinates_are_still_searched():
+    # extent is 0 for Heisenberg keys and bounds nothing: the central
+    # power c^30 has z = 30 yet length 2 ceil(2 sqrt(30)) = 22
+    assert bfs_word_length(HeisenbergGroup(), HEIS_C ** 30, 22) == 22
+    assert bfs_word_length(HeisenbergGroup(), HEIS_C ** 30, 21) is None
 
 
 def test_sdp_key_width_follows_the_reached_radius():

@@ -13,9 +13,10 @@ from lengrp.errors import (
     OracleExhausted,
     PreconditionError,
 )
-from lengrp.groups import HeisElem, HeisenbergGroup, bfs_ball
+from lengrp.groups import HeisElem, HeisenbergGroup, SdpContext, SdpElem, bfs_ball
 from lengrp.lengths import (
     CoverageGap,
+    _eigen_functional,
     _unit_eigen_projector,
     HeisWordOracle,
     LengthEvaluator,
@@ -38,7 +39,8 @@ from lengrp.lengths import (
     word_length_evaluator,
     zero_evaluator,
 )
-from lengrp.matrices import IntMatrix
+from lengrp.matrices import IntMatrix, minimal_poly
+from lengrp.polynomials import unit_circle_root
 
 from test_matrices import (
     CONNER,
@@ -559,3 +561,35 @@ def test_check_axioms_rejects_unsupported_domain():
     sdp = LengthEvaluator("sdp-wordlen", "sdp", lambda g: 0, True)
     with pytest.raises(PreconditionError, match="no sampler for domain 'sdp'"):
         check_axioms(sdp)
+
+
+def test_stable_length_estimate_forms_each_power_by_one_product(monkeypatch):
+    ctx = SdpContext(HYPERBOLIC)
+    for g in (HeisElem(2, -1, 3), SdpElem((1, -2), 1, ctx)):
+        asked = []
+        L = LengthEvaluator("record", "any", lambda h: asked.append(h) or 0, True)
+        products = []
+        original = type(g).__mul__
+        monkeypatch.setattr(type(g), "__mul__", lambda a, b: products.append(1) or original(a, b))
+        stable_length_estimate(L, g, 9)
+        monkeypatch.undo()
+        assert asked == [g ** k for k in range(1, 10)]
+        assert len(products) == 8  # g^k = g^(k-1) g
+
+
+def test_eigen_functional_settles_the_derogatory_twist_in_integers():
+    # m = (x - 1)^2: lam = 1 is defective, so the eigenline seminorm raises,
+    # but rho = the row (1, 0, 1) of r(A) = A - I is exact and settles
+    # |e_1^k| = |e_3^k| = k; rho_2 = 0 leaves e_2^k to the search
+    a = DEROGATORY
+    m = minimal_poly(a)
+    assert unit_circle_root(m) == 1
+    with pytest.raises(NumericalDegeneracyError):
+        unit_eigen_seminorm(a)
+    exceeds = _eigen_functional(a, m, 1)
+    ctx = SdpContext(a)
+    for k in range(1, 13):
+        e1, e2, e3 = (SdpElem(tuple(k if j == i else 0 for j in range(3)), 0, ctx)
+                      for i in range(3))
+        assert exceeds(e1, k - 1) and exceeds(e3, k - 1) and not exceeds(e2, 0)
+        assert not exceeds(e1, k)
