@@ -21,7 +21,7 @@ from .lengths import (
     stable_length_estimate,
 )
 from .matrices import IntMatrix, _annihilator_of_vector
-from .polynomials import IntPolynomial, unit_circle_root, vanishes_at
+from .polynomials import IntPolynomial, vanishes_at
 from .spectral import SpectralReport, classify_sdp
 
 TAG_FINITE = "Lemma finite"
@@ -135,9 +135,8 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int,
 def _generator_estimates(a: IntMatrix, report: SpectralReport, k_max: int, max_radius: int,
                          budget: int) -> dict:
     ctx = SdpContext(a)
-    m = report.minimal_poly
-    root = unit_circle_root(m) if report.has_unit_circle_eigenvalue else None
-    exceeds = _eigen_functional(a, m, root) if root is not None else None
+    root = report.unit_circle_root
+    exceeds = _eigen_functional(a, report.minimal_poly, root) if root is not None else None
     length = _sdp_length_evaluator(ctx, max_radius, budget, exceeds)
     # equal floats and tuples within the dossier, and equal entries across
     # dossiers, are one object: callers that keep many dossiers keep fewer
@@ -168,9 +167,10 @@ def _estimate_entry(ks: tuple, ratios: tuple, running: tuple, partial: bool,
                          trend_to_zero=trend)
 
 
-def _seminorm_table(a: IntMatrix, m: IntPolynomial) -> dict:
+def _seminorm_table(a: IntMatrix, report: SpectralReport) -> dict:
+    root = report.unit_circle_root
     try:
-        root, sem = _eigenline_seminorm(a, m, 30)
+        sem = _eigenline_seminorm(a, report.minimal_poly, root, 30)
     except (PreconditionError, NumericalDegeneracyError) as exc:
         return {"error": str(exc)}
     basis = [tuple(1 if j == i else 0 for j in range(a.n)) for i in range(a.n)]
@@ -204,7 +204,7 @@ def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
         dossier.evidence["stable_length"] = _generator_estimates(a, report, k_max, max_radius, budget)
     if evidence_level == "full":
         if report.has_unit_circle_eigenvalue:
-            dossier.evidence["eigen_seminorm"] = _seminorm_table(a, report.minimal_poly)
+            dossier.evidence["eigen_seminorm"] = _seminorm_table(a, report)
         else:
             dossier.evidence["eigen_seminorm"] = None
     return dossier

@@ -3,10 +3,10 @@
 Two families: the discrete Heisenberg group in upper-triangular coordinates
 (x, y, z), and semidirect products Z^n x|_A Z with twist A in GL_n(Z).
 Word lengths over the standard symmetric generating sets come from exact
-breadth-first search: a ball, a bidirectional single-target search, and a
-shared ball that answers many SDP targets.  The searches stop early on
-bounds that need no search: the length of an explicit word above, and
-coordinates that place a target outside the radius asked for.
+breadth-first search: a ball, and a shared ball that answers many targets
+by translation.  The shared ball stops early on bounds that need no
+search: the length of an explicit word above, and coordinates that place a
+target outside the radius asked for.
 """
 from __future__ import annotations
 
@@ -211,6 +211,20 @@ class HeisenbergGroup:
     def elem_of(self, k: Key) -> HeisElem:
         return HeisElem(*k)
 
+    def word_bound(self, g: HeisElem, max_radius: int) -> Optional[int]:
+        """None if |x| + |y| > max_radius, which puts g beyond max_radius: a
+        letter moves the image (x, y) in the abelianization Z^2 by one step.
+        Else max_radius + 1 (no word is assumed)."""
+        return None if abs(g.x) + abs(g.y) > max_radius else max_radius + 1
+
+    def reach(self, g: HeisElem, extent: int) -> int:
+        return 0  # keys are the coordinates themselves: nothing to widen
+
+    def translates(self, g: HeisElem, sphere: list) -> Iterator[Key]:
+        """The keys of g h for h in the sphere, by the product law."""
+        gx, gy, gz = g.x, g.y, g.z
+        return ((gx + x, gy + y, gz + z + gx * y) for x, y, z in sphere)
+
 
 class SdpGroup:
     """BFS adapter for Z^n x|_A Z; generators e_i^+-1, t^+-1.
@@ -269,27 +283,6 @@ class SdpGroup:
         top = max((self.ctx.max_entry(t + s) for s in range(1 - r, r)), default=0)
         return max(abs(t) + r, max(map(abs, v), default=0) + r * top)
 
-    def _outside(self, coords: tuple, r: int, budget: int) -> bool:
-        """True only if (v_1, ..., v_n, t) = coords lies outside the ball of
-        radius r: |t| > r, or some |v_i| > extent(r).  A^s and A^-s are
-        stepped outward from s = 0, nothing cached, until r m(+-s) reaches
-        max |v_i|: at most r products each.  For r > budget the scan is
-        skipped (False): a search that stores at most budget states ends
-        within about budget levels, so the scan could cost more than the
-        search it would save."""
-        *v, t = coords
-        if abs(t) > r:
-            return True
-        far = max(map(abs, v))
-        if far <= r or r > budget:
-            return False
-        fwd = back = IntMatrix.identity(self.n)
-        for _ in range(r):  # A^s and A^-s for s = 0, ..., r - 1
-            if r * max(abs(x) for p in (fwd, back) for row in p.rows for x in row) >= far:
-                return False
-            fwd, back = fwd @ self.ctx.matrix, back @ self.ctx.inverse
-        return True
-
     def _level_steps(self, t: int) -> list[int]:
         steps = []
         for col in zip(*self.ctx.power(t).rows):
@@ -322,6 +315,32 @@ class SdpGroup:
     def elem_of(self, k: int) -> SdpElem:
         *v, t = self.unpack(k)
         return SdpElem(tuple(v), t, self.ctx)
+
+    def word_bound(self, g: SdpElem, max_radius: int) -> Optional[int]:
+        """None if |t| > max_radius, which puts g beyond max_radius: a letter
+        moves t by at most one.  Else the smaller of max_radius + 1 and
+        |v|_1 + |t|, the length of the word e_1^v_1 ... e_n^v_n t^t."""
+        if abs(g.t) > max_radius:
+            return None
+        return min(max_radius + 1, sum(map(abs, g.v)) + abs(g.t))
+
+    def reach(self, g: SdpElem, extent: int) -> Optional[int]:
+        """The coordinate bound that the keys of g h need, for h in a ball
+        with no coordinate above extent; None if no such g h lies in it."""
+        if g.t:
+            return 0  # g h is packed from the group law, None outside the box
+        far = max(map(abs, g.v))  # g h = (v_g + v_h, t_h)
+        if far > 2 * extent:  # |v_g + v_h| > extent for every h
+            return None
+        return far + extent  # <= 3 extent
+
+    def translates(self, g: SdpElem, sphere: list) -> Iterable[Optional[int]]:
+        """The keys of g h for h in the sphere, or None for those outside
+        the key box (they are outside the ball)."""
+        if g.t == 0:  # the keys add
+            return map(self.pack(g.key).__add__, sphere)
+        pack, elem_of = self.pack, self.elem_of
+        return (pack((g * elem_of(h)).key) for h in sphere)
 
 
 @dataclass
@@ -416,58 +435,25 @@ def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTabl
     return BallTable(radius, dist, sphere_sizes, group)
 
 
-def bfs_word_length(group, g, max_radius: int,
-                    budget: int = DEFAULT_STATE_BUDGET) -> Optional[int]:
-    """Exact word length of g if it is at most max_radius, else None.
-
-    g is a group element (it has ``key``).  Bidirectional search: balls
-    grown around the identity and around g meet in the middle, doubling
-    the reachable radius for single-target queries.  Each step grows the
-    smaller frontier by one level (the identity side on ties) and looks its
-    new nodes up on the other side.  An SDP target that its coordinates
-    place outside the ball of radius max_radius reads None before any key
-    is formed.
-    """
-    _check_radius(max_radius, "max_radius")
-    coords = g.key
-    if isinstance(group, SdpGroup) and group._outside(coords, max_radius, budget):
-        return None
-    group = group.fit(group.extent(0, coords))
-    start = group.pack(coords)
-    if start == group.identity_key:
-        return 0
-    # one [distances, frontier, radius] per side: the identity's, then g's
-    sides = [[{k: 0}, [k], 0] for k in (group.identity_key, start)]
-    best = max_radius + 1  # no meeting yet
-    while (done := sides[0][2] + sides[1][2]) < max_radius and best > done:
-        side, other = sides if len(sides[0][1]) <= len(sides[1][1]) else sides[::-1]
-        dist, frontier, r = side
-        other_dist = other[0]
-        r += 1
-        r1, r2 = (r, other[2]) if side is sides[0] else (other[2], r)
-        group = _refit(group, max(group.extent(r1), group.extent(r2, coords)),
-                       [s[0] for s in sides], [s[1] for s in sides])
-        nxt = _grow(group, frontier, dist, r, budget - len(other_dist), done,
-                    f"state budget {budget} exceeded")
-        side[1:] = nxt, r
-        best = min([best] + [r + other_dist[k] for k in nxt if k in other_dist])
-        if not nxt:
-            break
-    return best if best <= max_radius else None
-
-
 class SharedBall:
-    """One identity ball of an SdpGroup that answers many word lengths.
+    """One identity ball of a group adapter that answers many word lengths.
 
     The Cayley graph is left-invariant: d(g, x) = |g^-1 x|, so for every h
-    the candidate |h| + |g h| bounds |g| from above.  ``word_length`` grows
-    the ball B(R) lazily, one level at a time and never beyond radius
-    ceil(max_radius/2), and scans h sphere by sphere for the best candidate
-    b with g h in B(R).  For g with t = 0 the key of g h is the sum of the
-    keys of g and h: no g h lies in B(R) once |v_g| exceeds twice the
-    ball's extent, and below that the ball widens its keys to hold
-    |v_g| + extent.  A target with |t| > max_radius is farther than
-    max_radius and reads None at once.
+    the candidate |h| + |g h| bounds |g| from above.  Nothing below uses
+    more than that, so the ball serves any adapter, Heisenberg or SDP.
+    ``word_length`` grows the ball B(R) lazily, one level at a time and
+    never beyond radius ceil(max_radius/2), and scans h sphere by sphere for
+    the best candidate b with g h in B(R).  A target already in the ball
+    reads its distance there, which is exact, without a scan.
+
+    The adapter supplies what depends on the group:
+    ``word_bound(g, max_radius)``, None when g's coordinates alone place it
+    beyond max_radius, else the starting b (at most max_radius + 1, the
+    length of an explicit word where the adapter knows one);
+    ``reach(g, extent)``, the coordinate bound the keys of g h need for h
+    in a ball of that extent, or None when no g h lies in the ball (the
+    ball widens its keys to it first); and ``translates(g, sphere)``, the
+    keys of g h, or None for one outside the key box.
 
     Midpoint invariant.  Let d = |g| and let R be the ball's radius while
     sphere s is scanned.  If s <= d <= s + R, a geodesic from 1 to g has a
@@ -481,9 +467,8 @@ class SharedBall:
 
     Stops.  After sphere s, ``sure`` = s + R + 1, and d >= sure unless d
     has been found.  So a candidate b <= sure is exact, whether it comes at
-    the end of sphere s or in the middle of sphere s + 1.  b starts at the
-    length |v|_1 + |t| of the word e_1^v_1 ... e_n^v_n t^t for g = (v, t),
-    or at max_radius + 1 if that is smaller, so the scan also ends, with
+    the end of sphere s or in the middle of sphere s + 1.  b starts at
+    ``word_bound``, at most max_radius + 1, so the scan also ends, with
     None, once s + R >= max_radius: then d > max_radius.  That happens at
     the latest at sphere ceil(max_radius/2), scanned with the ball at that
     radius.
@@ -497,13 +482,12 @@ class SharedBall:
     that gets that far.
     """
 
-    def __init__(self, group: SdpGroup, max_radius: int,
-                 budget: int = DEFAULT_STATE_BUDGET):
+    def __init__(self, group, max_radius: int, budget: int = DEFAULT_STATE_BUDGET):
         _check_radius(max_radius, "max_radius")
         self.group = group  # replaced by a wider adapter as the ball grows
         self.max_radius = max_radius
         self.budget = budget
-        self.dist: Dict[int, int] = {group.identity_key: 0}
+        self.dist: Dict[Key, int] = {group.identity_key: 0}
         self.spheres = [[group.identity_key]]
         self.extent = 0  # no coordinate of the ball exceeds this
 
@@ -522,27 +506,23 @@ class SharedBall:
         self.spheres.append(nxt)
         self.extent = extent
 
-    def _translates(self, g: SdpElem, sphere: list) -> Iterable[Optional[int]]:
-        """The keys of g h for h in the sphere, or None for those outside
-        the key box (they are outside the ball)."""
-        if g.t == 0:  # g h = (v_g + v_h, t_h)
-            far = max(map(abs, g.v))
-            if far > 2 * self.extent:  # |v_g + v_h| > extent for every h
-                return ()
-            # no coordinate of g h exceeds far + extent <= 3 extent
-            self.group = _refit(self.group, far + self.extent, [self.dist], self.spheres)
-            return map(self.group.pack(g.key).__add__, sphere)
-        pack, elem_of = self.group.pack, self.group.elem_of
-        return (pack((g * elem_of(h)).key) for h in sphere)
+    def _translates(self, g, sphere: list) -> Iterable[Optional[Key]]:
+        reach = self.group.reach(g, self.extent)
+        if reach is None:
+            return ()
+        self.group = _refit(self.group, reach, [self.dist], self.spheres)
+        return self.group.translates(g, sphere)
 
-    def word_length(self, g: SdpElem) -> Optional[int]:
+    def word_length(self, g) -> Optional[int]:
         """Exact word length of g if it is at most max_radius, else None."""
-        if abs(g.t) > self.max_radius:
+        best = self.group.word_bound(g, self.max_radius)
+        if best is None:
             return None
-        top = (self.max_radius + 1) // 2
         get = self.dist.get
-        # the word e_1^v_1 ... e_n^v_n t^t, else "beyond max_radius"
-        best = min(self.max_radius + 1, sum(map(abs, g.v)) + abs(g.t))
+        known = get(self.group.pack(g.key))
+        if known is not None:
+            return known
+        top = (self.max_radius + 1) // 2
         sure = 0  # every length below this would have been found
         for s in range(top + 1):
             overrun = None

@@ -1,21 +1,21 @@
 """Length functions as first-class evaluators.
 
-Closed-form Heisenberg word lengths with a BFS fallback, stable word
-length, subadditive-limit estimation, rational extension of lattice length
-functions, the eigenline projection seminorm, a quadratically-growing
+Closed-form Heisenberg word lengths with a shared-ball fallback, stable
+word length, subadditive-limit estimation, rational extension of lattice
+length functions, the eigenline projection seminorm, a quadratically-growing
 length function, and a property-based checker for the three length-function
 axioms (homogeneity along powers, conjugation invariance, subadditivity on
-commuting pairs).
+commuting pairs).  ``mpmath`` is imported by the numeric helpers that use
+it, not with the module, so word lengths and "none" dossiers never load it.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isfinite, isqrt
 from typing import Callable, NamedTuple, Optional, Sequence, Union
-
-import mpmath
 
 from .errors import (
     LengrpError,
@@ -30,8 +30,7 @@ from .groups import (
     HeisElem,
     HeisenbergGroup,
     SdpElem,
-    bfs_ball,
-    bfs_word_length,
+    SharedBall,
 )
 from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
@@ -122,38 +121,37 @@ class WordLengthResult(NamedTuple):
     path: str  # "formula" or "oracle"
 
 
-class HeisWordOracle:
-    """Exact Heisenberg word lengths: closed form first, BFS fallback.
+@lru_cache(maxsize=1024)
+def _result(value: int, path: str) -> WordLengthResult:
+    """Results are immutable, so callers share one per (value, path); the
+    cache is bounded because formula values are not."""
+    return WordLengthResult(value, path)
 
-    Keeps a shared ball for cheap repeated fallback lookups and answers
-    rarer, deeper queries with bidirectional search.
+
+class HeisWordOracle:
+    """Exact Heisenberg word lengths: closed form first, else one SharedBall.
+
+    The ball is grown lazily, only as far as the fallback queries need
+    (never beyond radius ceil(max_radius/2)), and kept for the oracle's
+    life, so a query whose element is already in it is one look-up.  An
+    element with |x| + |y| > max_radius raises OracleExhausted before the
+    ball grows.
     """
 
-    def __init__(self, ball_radius: int = 18, max_radius: int = 40):
-        self.group = HeisenbergGroup()
-        self.ball_radius = ball_radius
+    def __init__(self, *, max_radius: int = 40):
         self.max_radius = max_radius
-        self._ball = None
-
-    def _lookup(self, g: HeisElem) -> Optional[int]:
-        if self._ball is None and self.ball_radius > 0:
-            self._ball = bfs_ball(self.group, self.ball_radius)
-        if self._ball is not None:
-            hit = self._ball.word_length(g.key)
-            if hit is not None:
-                return hit
-        return bfs_word_length(self.group, g, self.max_radius)
+        self._ball = SharedBall(HeisenbergGroup(), max_radius)
 
     def word_length(self, g: HeisElem) -> WordLengthResult:
         closed = blachere_word_length(g.x, g.y, g.z)
         if closed is not None:
-            return WordLengthResult(closed, "formula")
-        value = self._lookup(g)
+            return _result(closed, "formula")
+        value = self._ball.word_length(g)
         if value is None:
             raise OracleExhausted(
                 f"word length of {g} exceeds the oracle radius {self.max_radius}"
             )
-        return WordLengthResult(value, "oracle")
+        return _result(value, "oracle")
 
 
 _DEFAULT_ORACLE: Optional[HeisWordOracle] = None
@@ -235,7 +233,7 @@ def word_length_evaluator(closed_form_only: bool = False) -> LengthEvaluator:
     """Raw word metric d_S.  Not a length function: homogeneity fails.
 
     With ``closed_form_only`` the evaluator raises CoverageGap instead of
-    consulting the BFS oracle.
+    consulting the oracle's ball.
     """
     oracle = HeisWordOracle()
 
@@ -407,6 +405,8 @@ def _unit_circle_eigenvalue(root: UnitRoot):
     polynomials._dyadic_brackets until both ends of a bracket round to the
     same working-precision number, which is then y0 correctly rounded.
     """
+    import mpmath
+
     if isinstance(root, int):
         return mpmath.mpf(root)
     for u, v, k in _dyadic_brackets(root):
@@ -426,26 +426,29 @@ def _quotient_coeffs(m: IntPolynomial, lam) -> list:
     return r
 
 
-def _matrix_powers(a: IntMatrix, count: int) -> list[IntMatrix]:
-    """I, A, ..., A^(count - 1)."""
+@lru_cache(maxsize=1)
+def _matrix_powers(a: IntMatrix, count: int) -> tuple[IntMatrix, ...]:
+    """I, A, ..., A^(count - 1).  A full dossier asks twice in a row, for the
+    eigen-functional and for the seminorm; the second call is a cache hit."""
     powers = [IntMatrix.identity(a.n)]
     for _ in range(count - 1):
         powers.append(powers[-1] @ a)
-    return powers
+    return tuple(powers)
 
 
-def _eigenline(a: IntMatrix, m: IntPolynomial, dps: int):
-    """(root, lam, P) for A with minimal polynomial m: the exact location
-    root = unit_circle_root(m) of an eigenvalue lam, |lam| = 1, then lam and
-    the spectral projector P onto its eigenspace to about dps digits.
+def _eigenline(a: IntMatrix, m: IntPolynomial, root: Optional[UnitRoot], dps: int):
+    """(lam, P) for A with minimal polynomial m: the eigenvalue lam,
+    |lam| = 1, located by root = unit_circle_root(m), and the spectral
+    projector P onto its eigenspace, both to about dps digits.
 
     With m = (x - lam)*r, P = r(A)/r(lam) if lam is a simple root of m
     (decided exactly on gcd(m, m')).  r(A) is summed over exact integer
     powers of A, with guard digits for the size of those powers.
     """
+    import mpmath
+
     if dps < 1:
         raise PreconditionError(f"dps must be >= 1, got {dps}")
-    root = unit_circle_root(m)
     if root is None:
         raise PreconditionError("matrix has no eigenvalue of modulus one")
     if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(m), _fp(m.derivative()))), root):
@@ -460,17 +463,22 @@ def _eigenline(a: IntMatrix, m: IntPolynomial, dps: int):
         proj = mpmath.matrix([[scale * mpmath.fsum(c * pw.rows[i][j]
                                                    for c, pw in zip(reversed(r), powers))
                                for j in range(a.n)] for i in range(a.n)])
-    return root, lam, proj
+    return lam, proj
 
 
 def _unit_eigen_projector(a: IntMatrix, dps: int):
     """(lam, P): a modulus-one eigenvalue of A and its spectral projector."""
-    return _eigenline(a, minimal_poly(a), dps)[1:]
+    m = minimal_poly(a)
+    return _eigenline(a, m, unit_circle_root(m), dps)
 
 
-def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, dps: int):
-    """(root, unit_eigen_seminorm(a, dps)) for A with minimal polynomial m."""
-    root, _, proj = _eigenline(a, m, dps)
+def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, root: Optional[UnitRoot],
+                        dps: int) -> LengthEvaluator:
+    """unit_eigen_seminorm(a, dps) for A with minimal polynomial m and
+    root = unit_circle_root(m)."""
+    import mpmath
+
+    _, proj = _eigenline(a, m, root, dps)
     with mpmath.workdps(dps):
         op_norm = max(mpmath.svd_c(proj, compute_uv=False))
 
@@ -481,7 +489,7 @@ def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, dps: int):
             col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in v])
             return float(mpmath.norm(proj * col) / op_norm)
 
-    return root, LengthEvaluator(
+    return LengthEvaluator(
         name="unit-eigen-seminorm",
         domain="lattice",
         func=func,
@@ -501,7 +509,8 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
     modulus-one eigenvalue and NumericalDegeneracyError when lam is a
     repeated root of m (A is not diagonalizable on that eigenvalue).
     """
-    return _eigenline_seminorm(a, minimal_poly(a), dps)[1]
+    m = minimal_poly(a)
+    return _eigenline_seminorm(a, m, unit_circle_root(m), dps)
 
 
 # -- eigen-functional bound on semidirect-product word lengths -----------
@@ -534,6 +543,8 @@ def _eigen_functional(a: IntMatrix, m: IntPolynomial,
     above in integer arithmetic; an enclosure too wide to decide reads
     False, and None is returned when no row is certainly nonzero.
     """
+    import mpmath
+
     powers = _matrix_powers(a, m.degree)
     iv, saved = mpmath.iv, mpmath.iv.prec
     try:
@@ -582,6 +593,8 @@ def _eigen_functional(a: IntMatrix, m: IntPolynomial,
 
 def _outward_ints(x, bits: int) -> tuple[int, int]:
     """(floor(2^bits a), ceil(2^bits b)) for the mpmath.iv interval [a, b]."""
+    import mpmath
+
     with mpmath.workprec(mpmath.iv.prec):
         lo, hi = (mpmath.ldexp(mpmath.mpf(e), bits) for e in (x.a, x.b))
     return int(mpmath.floor(lo)), int(mpmath.ceil(hi))

@@ -14,10 +14,11 @@ from .errors import PreconditionError
 from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
     IntPolynomial,
+    UnitRoot,
     cyclotomic_order,
-    has_unit_circle_eigenvalue,
     is_irreducible,
     is_squarefree,
+    unit_circle_root,
 )
 
 TriState = Literal["yes", "no", "indeterminate"]
@@ -26,7 +27,9 @@ TriState = Literal["yes", "no", "indeterminate"]
 @dataclass(frozen=True, slots=True)
 class SpectralReport:
     """Exact verdicts about a GL_n(Z) matrix viewed as a semidirect twist,
-    and the minimal polynomial they were read from (not part of the JSON)."""
+    and, outside the JSON, the minimal polynomial they were read from and
+    the location ``unit_circle_root(minimal_poly)`` of a unit-circle
+    eigenvalue (None without one), which a full dossier reuses."""
 
     finite_order: Optional[int]
     diagonalizable: bool
@@ -36,10 +39,11 @@ class SpectralReport:
     purely_positive_stable_word_length: TriState
     vanishes_on_lattice: TriState
     minimal_poly: IntPolynomial
+    unit_circle_root: Optional[UnitRoot]
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "minimal_poly"}
+                if f.name not in ("minimal_poly", "unit_circle_root")}
 
 
 def classify_sdp(a: IntMatrix) -> SpectralReport:
@@ -62,7 +66,8 @@ def classify_sdp(a: IntMatrix) -> SpectralReport:
     order = cyclotomic_order(mp)
     diag = is_squarefree(mp)
     irr = mp.degree == a.n and is_irreducible(mp)
-    unit = has_unit_circle_eigenvalue(mp)
+    root = unit_circle_root(mp)
+    unit = root is not None
 
     if irr:
         ppswl: TriState = "yes" if unit else "no"
@@ -88,4 +93,5 @@ def classify_sdp(a: IntMatrix) -> SpectralReport:
         purely_positive_stable_word_length=ppswl,
         vanishes_on_lattice=vanishes,
         minimal_poly=mp,
+        unit_circle_root=root,
     )

@@ -23,6 +23,7 @@ from lengrp.groups import SdpContext, SdpElem, SdpGroup, SharedBall, bfs_ball
 from lengrp.lengths import _eigen_functional
 from lengrp.matrices import IntMatrix, minimal_poly
 from lengrp.polynomials import unit_circle_root
+from lengrp.spectral import classify_sdp
 
 from test_lengths import (
     DEROGATORY,
@@ -176,24 +177,40 @@ def test_full_dossier_reads_one_minimal_polynomial(monkeypatch):
     assert calls == {"minimal_poly": 1, "char_poly": 0}
 
 
+def test_full_dossier_locates_the_unit_circle_root_once(monkeypatch):
+    # the spectral report carries the root to the eigen-functional and the
+    # seminorm, and the powers of A are formed once for both
+    calls = []
+    original = lengrp.polynomials.unit_circle_root
+    for module in (lengrp.polynomials, lengrp.spectral, lengrp.lengths, lengrp.classify):
+        if getattr(module, "unit_circle_root", None) is original:
+            monkeypatch.setattr(module, "unit_circle_root",
+                                lambda m: calls.append(m) or original(m))
+    lengrp.lengths._matrix_powers.cache_clear()
+    d = build_dossier(CONNER, "full", k_max=3, max_radius=6)
+    assert d.evidence["eigen_seminorm"]["all_positive"]
+    assert len(calls) == 1
+    assert lengrp.lengths._matrix_powers.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
 def test_seminorm_all_positive_is_exact():
     # rotation + hyperbolic block: lam = i, and P kills the hyperbolic block
     a = IntMatrix.from_rows(block_diag([[[0, -1], [1, 0]], [[2, 1], [1, 1]]]))
-    table = _seminorm_table(a, minimal_poly(a))
+    table = _seminorm_table(a, classify_sdp(a))
     assert not table["all_positive"]
     assert table["values"]["e1"] == pytest.approx(2 ** -0.5)
     assert table["values"]["e3"] < 1e-20 and table["values"]["e4"] < 1e-20
     # conjugated so that no unit vector lies in the hyperbolic block
     p = IntMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
     b = p.inverse() @ a @ p
-    assert _seminorm_table(b, minimal_poly(b))["all_positive"]
+    assert _seminorm_table(b, classify_sdp(b))["all_positive"]
 
 
 @PROPERTY_SETTINGS
 @given(unit_circle_twists())
 def test_seminorm_all_positive_matches_numpy_reference(case):
     a, _ = case
-    table = _seminorm_table(a, minimal_poly(a))
+    table = _seminorm_table(a, classify_sdp(a))
     if "error" in table:  # defective eigenvalue
         return
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
@@ -221,7 +238,7 @@ FINITE_ORDER_KILLS_E1 = IntMatrix.from_rows(
 
 def test_seminorm_table_prints_exact_zeros():
     a = FINITE_ORDER_KILLS_E1
-    table = _seminorm_table(a, minimal_poly(a))
+    table = _seminorm_table(a, classify_sdp(a))
     assert not table["all_positive"]
     assert table["values"]["e1"] == 0.0
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
@@ -234,7 +251,7 @@ def test_seminorm_table_prints_exact_zeros():
 @given(unit_circle_twists())
 def test_seminorm_table_zero_exactly_where_projector_kills(case):
     a, _ = case
-    table = _seminorm_table(a, minimal_poly(a))
+    table = _seminorm_table(a, classify_sdp(a))
     if "error" in table:  # defective eigenvalue
         return
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
@@ -268,7 +285,9 @@ def test_equal_evidence_entries_are_one_read_only_object():
 
 
 def test_full_dossier_grows_one_shared_ball(monkeypatch):
-    calls = {"bfs_word_length": 0, "_grow": 0}
+    # the per-target bidirectional search is a test reference now
+    assert not hasattr(lengrp.groups, "bfs_word_length")
+    calls = {"_grow": 0}
     for name in calls:
         original = getattr(lengrp.groups, name)
 
@@ -280,7 +299,6 @@ def test_full_dossier_grows_one_shared_ball(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counted)
     build_dossier(CONNER, "full", max_radius=12)
-    assert calls["bfs_word_length"] == 0
     assert calls["_grow"] == 0  # the eigen-functional settles every |e_i^k| = k
 
 

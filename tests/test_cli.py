@@ -207,6 +207,31 @@ def test_classify_does_not_load_sympy():
     subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def test_only_numeric_evidence_loads_mpmath():
+    """Word lengths and "none" dossiers need no mpmath; a full dossier
+    imports it on demand and still prints its golden."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = (
+        "import contextlib, io, sys\n"
+        "import lengrp.cli\n"
+        "from lengrp import HeisElem, HeisWordOracle, IntMatrix, build_dossier\n"
+        f"build_dossier(IntMatrix.from_rows({CONNER_ARG}), 'none')\n"
+        "assert HeisWordOracle().word_length(HeisElem(2, 1, 2)) == (3, 'oracle')\n"
+        "assert 'mpmath' not in sys.modules, 'mpmath imported'\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    code = lengrp.cli.main(['classify', '--matrix', '{CONNER_ARG}',\n"
+        "                            '--evidence', 'full', '--radius', '11'])\n"
+        "assert code == 0 and 'mpmath' in sys.modules\n"
+        "sys.stdout.write(out.getvalue())\n")
+    env.pop("LENGRP_MEMORY_BUDGET", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout == (GOLDEN / "classify_full_r11_conner.json").read_text()
+
+
 def test_classify_full_evidence_rank_one_seminorm(capsys):
     # companion of x^4 - x^3 - x^2 - 1, lambda = -1: every |P e_i| / |P| is 1/2
     code, out, _ = run(capsys, "classify", "--matrix", "[[0,0,0,1],[1,0,0,0],[0,1,0,1],[0,0,1,1]]",

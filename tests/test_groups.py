@@ -17,12 +17,12 @@ from lengrp.groups import (
     SdpGroup,
     SharedBall,
     bfs_ball,
-    bfs_word_length,
     parse_heis,
     parse_sdp,
 )
 from lengrp.matrices import IntMatrix
 
+from search_reference import bfs_word_length, outside
 from test_matrices import PROPERTY_SETTINGS, elementary_products
 
 
@@ -445,19 +445,19 @@ def test_no_element_of_a_ball_reads_as_outside_it(ctx):
     table = bfs_ball(group, 3)
     for key, d in table.lengths.items():
         coords = table.group.unpack(key)
-        assert not any(group._outside(coords, r, 300) for r in range(d, 5))
+        assert not any(outside(group, coords, r, 300) for r in range(d, 5))
         if d:
-            assert group._outside(coords, 0, 300)
+            assert outside(group, coords, 0, 300)
     # the scan decides exactly |v_i| > extent(r), and |t| > r
     for r in range(5):
         e = group.extent(r)
         for i in range(ctx.n):
             v = [0] * ctx.n
             v[i] = -e
-            assert not group._outside((*v, r), r, 300)
+            assert not outside(group, (*v, r), r, 300)
             v[i] = e + 1
-            assert group._outside((*v, 0), r, 300)
-        assert group._outside((*[0] * ctx.n, r + 1), r, 300)
+            assert outside(group, (*v, 0), r, 300)
+        assert outside(group, (*[0] * ctx.n, r + 1), r, 300)
 
 
 def test_heisenberg_targets_beyond_their_coordinates_are_still_searched():

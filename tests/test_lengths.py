@@ -1,11 +1,14 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lengrp.errors import (
@@ -42,6 +45,7 @@ from lengrp.lengths import (
 from lengrp.matrices import IntMatrix, minimal_poly
 from lengrp.polynomials import unit_circle_root
 
+from search_reference import bfs_word_length
 from test_matrices import (
     CONNER,
     HYPERBOLIC,
@@ -118,9 +122,82 @@ def test_heis_word_length_paths():
     assert heis_word_length(0, 0, 16) == (16, "formula")
     assert heis_word_length(0, 0, 0) == (0, "formula")
     assert heis_word_length(2, 1, 2) == (3, "oracle")
-    oracle = HeisWordOracle(ball_radius=4, max_radius=6)
+    oracle = HeisWordOracle(max_radius=6)
     with pytest.raises(OracleExhausted):
         oracle.word_length(HeisElem(5, 0, 17))
+
+
+def test_oracle_matches_the_ball_and_the_closed_form():
+    # every element of the radius-12 ball: the BFS length, on the path the
+    # closed form decides
+    oracle = HeisWordOracle()
+    for key, d in bfs_ball(HeisenbergGroup(), 12).lengths.items():
+        path = "oracle" if blachere_word_length(*key) is None else "formula"
+        assert oracle.word_length(HeisElem(*key)) == (d, path)
+
+
+def test_oracle_answers_lengths_at_its_own_radius():
+    # a fallback element of length d is answered at max_radius = d and lies
+    # beyond max_radius = d - 1, for odd and even d
+    table = bfs_ball(HeisenbergGroup(), 8)
+    tested = set()
+    for d in range(2, 9):
+        keys = sorted(k for k, r in table.lengths.items()
+                      if r == d and blachere_word_length(*k) is None)
+        at, below = HeisWordOracle(max_radius=d), HeisWordOracle(max_radius=d - 1)
+        for key in random.Random(d).sample(keys, min(len(keys), 20)):
+            assert at.word_length(HeisElem(*key)) == (d, "oracle")
+            with pytest.raises(OracleExhausted):
+                below.word_length(HeisElem(*key))
+            tested.add(d)
+    assert tested == set(range(2, 9))
+
+
+ORACLE = HeisWordOracle()  # one ball across examples, as callers keep it
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.builds(HeisElem, st.integers(-6, 6), st.integers(-6, 6), st.integers(-80, 80)))
+def test_oracle_matches_the_reference_search_property(g):
+    reference = bfs_word_length(HeisenbergGroup(), g, ORACLE.max_radius)
+    covered = blachere_word_length(g.x, g.y, g.z) is not None
+    if reference is None and not covered:
+        with pytest.raises(OracleExhausted):
+            ORACLE.word_length(g)
+        return
+    value, path = ORACLE.word_length(g)
+    assert path == ("formula" if covered else "oracle")
+    assert value == reference if reference is not None else value > ORACLE.max_radius
+
+
+ORACLE_GOLDEN = Path(__file__).parent / "golden" / "heis_oracle_answers.jsonl"
+
+
+def test_oracle_answers_match_golden():
+    # the 436 benchmark queries of seeds 1 and 1001, each seed asked of one
+    # oracle in order, as answered by the per-query bidirectional search
+    lines = [json.loads(line) for line in ORACLE_GOLDEN.read_text().splitlines()]
+    assert len(lines) == 2 * 436
+    oracles = {}
+    for line in lines:
+        oracle = oracles.setdefault(line["seed"], HeisWordOracle())
+        assert oracle.word_length(HeisElem(*line["query"])) == (line["value"], line["path"])
+
+
+def test_far_oracle_target_raises_before_the_ball_grows():
+    # |x| + |y| = 41 > 40 bounds the length from below; the closed form
+    # leaves (41, 0, 5) to the oracle
+    oracle = HeisWordOracle()
+    g = HeisElem(41, 0, 5)
+    assert blachere_word_length(g.x, g.y, g.z) is None
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleExhausted):
+            oracle.word_length(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_swl_goldens():
