@@ -17,6 +17,7 @@ from .groups import DEFAULT_STATE_BUDGET, SdpContext, SdpElem, SdpGroup, SharedB
 from .lengths import (
     LengthEvaluator,
     _eigen_functional,
+    _Eigenline,
     _eigenline_seminorm,
     stable_length_estimate,
 )
@@ -132,29 +133,20 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int,
     return LengthEvaluator(name="sdp-wordlen", domain="sdp", func=func, exact=True)
 
 
-def _generator_estimates(a: IntMatrix, report: SpectralReport, k_max: int, max_radius: int,
-                         budget: int) -> dict:
+def _generator_estimates(a: IntMatrix, line: Optional[_Eigenline], k_max: int,
+                         max_radius: int, budget: int) -> dict:
     ctx = SdpContext(a)
-    root = report.unit_circle_root
-    exceeds = _eigen_functional(a, report.minimal_poly, root) if root is not None else None
+    exceeds = _eigen_functional(line) if line is not None else None
     length = _sdp_length_evaluator(ctx, max_radius, budget, exceeds)
-    # equal floats and tuples within the dossier, and equal entries across
-    # dossiers, are one object: callers that keep many dossiers keep fewer
-    # objects, and sharing them is safe because none can change
-    floats: dict = {}
-    shared: dict = {}
     table = {}
     for i in range(a.n):
         e_i = SdpElem(tuple(1 if j == i else 0 for j in range(a.n)), 0, ctx)
         est = stable_length_estimate(length, e_i, k_max)
         inf = est.infimum
-        ks = tuple(k for k, _, _ in est.samples)
-        ratios = tuple(floats.setdefault(r, float(r)) for _, _, r in est.samples)
-        running = tuple(floats[r] for r in est.running_infimum)
         trend = inf is not None and float(inf) < TREND_THRESHOLD
         table[_generator_name(i)] = _estimate_entry(
-            shared.setdefault((int, ks), ks), shared.setdefault((float, ratios), ratios),
-            shared.setdefault((float, running), running), est.partial, trend)
+            tuple(k for k, _, _ in est.samples), tuple(float(r) for _, _, r in est.samples),
+            tuple(map(float, est.running_infimum)), est.partial, trend)
     return table
 
 
@@ -167,15 +159,14 @@ def _estimate_entry(ks: tuple, ratios: tuple, running: tuple, partial: bool,
                          trend_to_zero=trend)
 
 
-def _seminorm_table(a: IntMatrix, report: SpectralReport) -> dict:
-    root = report.unit_circle_root
+def _seminorm_table(a: IntMatrix, line: _Eigenline) -> dict:
     try:
-        sem = _eigenline_seminorm(a, report.minimal_poly, root, 30)
-    except (PreconditionError, NumericalDegeneracyError) as exc:
+        sem = _eigenline_seminorm(line)
+    except NumericalDegeneracyError as exc:
         return {"error": str(exc)}
     basis = [tuple(1 if j == i else 0 for j in range(a.n)) for i in range(a.n)]
     # exact: P e = 0 iff lam is not a root of the annihilator of e
-    positive = [vanishes_at(IntPolynomial.from_fractions(_annihilator_of_vector(a, e)), root)
+    positive = [vanishes_at(IntPolynomial.from_fractions(_annihilator_of_vector(a, e)), line.root)
                 for e in basis]
     values = {_generator_name(i): sem.evaluate(e) if pos else 0.0
               for i, (e, pos) in enumerate(zip(basis, positive))}
@@ -200,11 +191,11 @@ def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
         report=report,
         verdicts=_verdicts_from_report(report, a.n),
     )
-    if evidence_level in ("estimates", "full"):
-        dossier.evidence["stable_length"] = _generator_estimates(a, report, k_max, max_radius, budget)
+    if evidence_level == "none":
+        return dossier
+    root = report.unit_circle_root
+    line = _Eigenline(a, report.minimal_poly, root, 30) if root is not None else None
+    dossier.evidence["stable_length"] = _generator_estimates(a, line, k_max, max_radius, budget)
     if evidence_level == "full":
-        if report.has_unit_circle_eigenvalue:
-            dossier.evidence["eigen_seminorm"] = _seminorm_table(a, report)
-        else:
-            dossier.evidence["eigen_seminorm"] = None
+        dossier.evidence["eigen_seminorm"] = _seminorm_table(a, line) if line is not None else None
     return dossier

@@ -18,6 +18,7 @@ from .classify import build_dossier
 from .errors import OracleExhausted, PreconditionError, ResourceExhausted
 from .groups import (
     DEFAULT_STATE_BUDGET,
+    HeisElem,
     HeisenbergGroup,
     SdpContext,
     SdpGroup,
@@ -81,10 +82,13 @@ def _read_source(arg: str) -> str:
 
 
 def _parse_matrix(arg: str) -> IntMatrix:
+    """JSON rows of integers (not bools, floats or strings)."""
     try:
         rows = json.loads(_read_source(arg))
-        return IntMatrix.from_rows([[int(x) for x in row] for row in rows])
-    except (ValueError, TypeError, PreconditionError) as exc:
+        if not all(type(x) is int for row in rows for x in row):
+            raise ValueError("entries must be JSON integers")
+        return IntMatrix.from_rows(rows)
+    except (OSError, RecursionError, ValueError, TypeError, PreconditionError) as exc:
         raise _ParseExit(f"cannot parse matrix from {arg!r}: {exc}")
 
 
@@ -133,7 +137,7 @@ def cmd_classify(args) -> int:
 
 def cmd_wordlen(args) -> int:
     oracle = HeisWordOracle(max_radius=args.oracle_radius)
-    result = oracle.word_length(parse_heis(f"{args.x},{args.y},{args.z}"))
+    result = oracle.word_length(HeisElem(args.x, args.y, args.z))
     _emit({"command": "wordlen", "element": [args.x, args.y, args.z],
            "length": result.value, "path": result.path})
     return EXIT_OK

@@ -254,16 +254,6 @@ def word_length_evaluator(closed_form_only: bool = False) -> LengthEvaluator:
     )
 
 
-def lattice_swl_evaluator() -> LengthEvaluator:
-    """The stable word length pushed to the abelianization Z^2."""
-    return LengthEvaluator(
-        name="swl-abelianized",
-        domain="lattice",
-        func=lambda v: abs(v[0]) + abs(v[1]),
-        exact=True,
-    )
-
-
 # -- stable length estimation --------------------------------------------
 
 
@@ -395,95 +385,102 @@ def sqrt_bound_witness(length: LengthEvaluator, max_n: int) -> tuple[Fraction, F
     return big_k, big_c, verified
 
 
+# -- the eigenline of a unit-circle eigenvalue ---------------------------
+
+_MARGIN_BITS = 16  # interval precision beyond dps digits and the guard bits
+
+
+class _Eigenline:
+    """A unit-circle eigenvalue lam of A and r(A), built once for both the
+    word-length bound (_eigen_functional) and the seminorm.
+
+    A has minimal polynomial m = (x - lam) r, and root = unit_circle_root(m)
+    locates lam.  I, A, ..., A^(deg m - 1) are formed once.  For lam = +-1,
+    lam, r(lam) and the rows of r(A) are exact integers.  Otherwise they are
+    outward-rounded mpmath.iv enclosures at ``prec`` bits: dps_to_prec(dps)
+    plus _MARGIN_BITS plus the guard bits of max_k |A^k| * sum |m_k|, the
+    size of the terms of r(A); lam = (y0 + i*sqrt(4 - y0^2))/2 with y0 in
+    the first dyadic bracket of polynomials._dyadic_brackets narrower than
+    2^-prec.
+    """
+
+    def __init__(self, a: IntMatrix, m: IntPolynomial, root: Optional[UnitRoot], dps: int):
+        import mpmath
+        from mpmath.libmp import dps_to_prec
+
+        if dps < 1:
+            raise PreconditionError(f"dps must be >= 1, got {dps}")
+        if root is None:
+            raise PreconditionError("matrix has no eigenvalue of modulus one")
+        self.m, self.root, self.dps = m, root, dps
+        self.exact = isinstance(root, int)
+        powers = [IntMatrix.identity(a.n)]
+        for _ in range(m.degree - 1):
+            powers.append(powers[-1] @ a)
+        big = max(abs(x) for pw in powers for row in pw.rows for x in row)
+        self.prec = (dps_to_prec(dps) + _MARGIN_BITS
+                     + (big * sum(map(abs, m.coeffs))).bit_length())
+        iv, saved = mpmath.iv, mpmath.iv.prec
+        try:
+            iv.prec = self.prec
+            if self.exact:
+                lam = root
+            else:
+                u, v, k = next(b for b in _dyadic_brackets(root)
+                               if (b[1] - b[0]) << self.prec <= 1 << b[2])
+                y0 = iv.mpf([u, v]) / 2 ** k
+                lam = iv.mpc(y0 / 2, iv.sqrt(4 - y0 ** 2) / 2)
+            # r = m / (x - lam), highest coefficient first, and r(lam), by Horner
+            r, acc = [], 0
+            for c in reversed(m.coeffs[1:]):
+                acc = acc * lam + c
+                r.append(acc)
+            self.lam, self.r_lam = lam, 0
+            for c in r:
+                self.r_lam = self.r_lam * lam + c
+            r.reverse()
+            self.rows = [[sum(c * pw.rows[i][j] for c, pw in zip(r, powers))
+                          for j in range(a.n)] for i in range(a.n)]
+        finally:
+            iv.prec = saved
+
+    def projector(self):
+        """P = r(A)/r(lam), for lam a simple root of m, from the midpoints
+        of the enclosures, as an mpmath matrix at prec bits."""
+        import mpmath
+
+        with mpmath.workprec(self.prec):
+            scale = 1 / mpmath.mpmathify(_midpoint(self.r_lam))
+            return mpmath.matrix([[scale * _midpoint(z) for z in row] for row in self.rows])
+
+
+def _midpoint(z):
+    """The midpoint of an _Eigenline number: itself if exact, else the
+    midpoint of its mpmath.iv enclosure, at the working precision."""
+    import mpmath
+
+    if isinstance(z, int):
+        return z
+    return mpmath.mpc(*((mpmath.mpf(x.a) + mpmath.mpf(x.b)) / 2 for x in (z.real, z.imag)))
+
+
 # -- eigenline projection seminorm ---------------------------------------
 
 
-def _unit_circle_eigenvalue(root: UnitRoot):
-    """lam at the working precision, from root = unit_circle_root(m).
-
-    lam is +-1, or (y0 + i*sqrt(4 - y0^2))/2 with y0 bracketed by
-    polynomials._dyadic_brackets until both ends of a bracket round to the
-    same working-precision number, which is then y0 correctly rounded.
-    """
+def _eigenline_seminorm(line: _Eigenline) -> LengthEvaluator:
+    """unit_eigen_seminorm(a, line.dps) from the eigenline of A."""
     import mpmath
 
-    if isinstance(root, int):
-        return mpmath.mpf(root)
-    for u, v, k in _dyadic_brackets(root):
-        if mpmath.mpf((u, -k)) == mpmath.mpf((v, -k)):  # (mantissa, exponent), rounded
-            break
-    y0 = mpmath.mpf((v, -k))
-    return mpmath.mpc(y0 / 2, mpmath.sqrt(4 - y0 * y0) / 2)
-
-
-def _quotient_coeffs(m: IntPolynomial, lam) -> list:
-    """The coefficients of r = m / (x - lam), highest first, by Horner, for
-    a root lam of m in any number type (int, mpmath number or interval)."""
-    r, acc = [], 0
-    for c in reversed(m.coeffs[1:]):
-        acc = acc * lam + c
-        r.append(acc)
-    return r
-
-
-@lru_cache(maxsize=1)
-def _matrix_powers(a: IntMatrix, count: int) -> tuple[IntMatrix, ...]:
-    """I, A, ..., A^(count - 1).  A full dossier asks twice in a row, for the
-    eigen-functional and for the seminorm; the second call is a cache hit."""
-    powers = [IntMatrix.identity(a.n)]
-    for _ in range(count - 1):
-        powers.append(powers[-1] @ a)
-    return tuple(powers)
-
-
-def _eigenline(a: IntMatrix, m: IntPolynomial, root: Optional[UnitRoot], dps: int):
-    """(lam, P) for A with minimal polynomial m: the eigenvalue lam,
-    |lam| = 1, located by root = unit_circle_root(m), and the spectral
-    projector P onto its eigenspace, both to about dps digits.
-
-    With m = (x - lam)*r, P = r(A)/r(lam) if lam is a simple root of m
-    (decided exactly on gcd(m, m')).  r(A) is summed over exact integer
-    powers of A, with guard digits for the size of those powers.
-    """
-    import mpmath
-
-    if dps < 1:
-        raise PreconditionError(f"dps must be >= 1, got {dps}")
-    if root is None:
-        raise PreconditionError("matrix has no eigenvalue of modulus one")
-    if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(m), _fp(m.derivative()))), root):
+    if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(line.m), _fp(line.m.derivative()))),
+                   line.root):
         raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
-    powers = _matrix_powers(a, m.degree)
-    big = max(abs(x) for pw in powers for row in pw.rows for x in row)
-    guard = len(str(big * sum(abs(c) for c in m.coeffs)))
-    with mpmath.workdps(dps + guard):
-        lam = _unit_circle_eigenvalue(root)
-        r = _quotient_coeffs(m, lam)
-        scale = 1 / mpmath.polyval(r, lam)
-        proj = mpmath.matrix([[scale * mpmath.fsum(c * pw.rows[i][j]
-                                                   for c, pw in zip(reversed(r), powers))
-                               for j in range(a.n)] for i in range(a.n)])
-    return lam, proj
-
-
-def _unit_eigen_projector(a: IntMatrix, dps: int):
-    """(lam, P): a modulus-one eigenvalue of A and its spectral projector."""
-    m = minimal_poly(a)
-    return _eigenline(a, m, unit_circle_root(m), dps)
-
-
-def _eigenline_seminorm(a: IntMatrix, m: IntPolynomial, root: Optional[UnitRoot],
-                        dps: int) -> LengthEvaluator:
-    """unit_eigen_seminorm(a, dps) for A with minimal polynomial m and
-    root = unit_circle_root(m)."""
-    import mpmath
-
-    _, proj = _eigenline(a, m, root, dps)
+    dps, proj = line.dps, line.projector()
     with mpmath.workdps(dps):
         op_norm = max(mpmath.svd_c(proj, compute_uv=False))
+    n = len(line.rows)
 
     def func(v: Sequence[Union[int, Fraction]]) -> float:
-        if len(v) != a.n:
+        if len(v) != n:
             raise PreconditionError("dimension mismatch")
         with mpmath.workdps(dps):
             col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in v])
@@ -503,30 +500,29 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
     The eigenvalue lam is located exactly on the minimal polynomial m
     (polynomials.unit_circle_root) and P = r(A)/r(lam) with m = (x - lam)*r.
     P commutes with A and A acts on its range by lam, |lam| = 1, so the
-    value is invariant under v -> A v.  lam, P and the operator norm
-    (singular values, mpmath.svd_c) carry about dps >= 1 correct digits;
-    values are returned as floats.  Raises PreconditionError without a
+    value is invariant under v -> A v.  P is taken at the midpoints of its
+    _Eigenline enclosure, whose entries are at most 10^-dps max |P_ij|
+    wide for the matrices the tests pin; the operator norm (singular
+    values, mpmath.svd_c) and the values are computed at dps >= 1 digits
+    and returned as floats.  Raises PreconditionError without a
     modulus-one eigenvalue and NumericalDegeneracyError when lam is a
     repeated root of m (A is not diagonalizable on that eigenvalue).
     """
     m = minimal_poly(a)
-    return _eigenline_seminorm(a, m, unit_circle_root(m), dps)
+    return _eigenline_seminorm(_Eigenline(a, m, unit_circle_root(m), dps))
 
 
 # -- eigen-functional bound on semidirect-product word lengths -----------
 
-_FUNCTIONAL_BITS = 64  # bits of interval precision beyond the guard bits
 
-
-def _eigen_functional(a: IntMatrix, m: IntPolynomial,
-                      root: UnitRoot) -> Optional[Callable[[SdpElem, int], bool]]:
+def _eigen_functional(line: _Eigenline) -> Optional[Callable[[SdpElem, int], bool]]:
     """exceeds(g, c), True only if phi(g) > c, for the lower bound
 
         phi(v, t) = |t| + |rho . v| / max_i |rho_i|  <=  |(v, t)|
 
-    on word lengths in Z^n x|_A Z, where A has minimal polynomial m, lam is
-    the eigenvalue located by root = unit_circle_root(m), m = (x - lam) r
-    and rho is the first nonzero row of r(A).
+    on word lengths in Z^n x|_A Z, where A, m = (x - lam) r and lam are
+    those of the eigenline and rho is the first row of r(A) that is
+    certainly nonzero.
 
     Proof.  r(A)(A - lam) = m(A) = 0, so rho A = lam rho, even when lam is
     a repeated root of m; and r(A) != 0 as deg r < deg m.  The letter
@@ -534,45 +530,26 @@ def _eigen_functional(a: IntMatrix, m: IntPolynomial,
     lam^t rho_i has modulus |rho_i|, as |lam| = 1; the letter t^+-1 moves t
     by one.  So phi is 1-Lipschitz on the Cayley graph, and phi(1) = 0.
 
-    Exactness.  For lam = +-1, r has integer coefficients and rho is an
-    integer row.  Otherwise lam is enclosed by outward-rounded mpmath.iv
-    intervals from a dyadic bracket of y0 = lam + 1/lam (one of lam and
-    its conjugate; both are roots of m), rho by the intervals that r(A)
-    gives, and each interval end is rounded outward to an integer over
-    2^bits.  The test then bounds |rho . v|^2 below and max_i |rho_i|^2
-    above in integer arithmetic; an enclosure too wide to decide reads
-    False, and None is returned when no row is certainly nonzero.
+    Exactness.  For lam = +-1, rho is an exact integer row.  Otherwise
+    each end of the eigenline's enclosure of rho is rounded outward to an
+    integer over 2^prec.  The test then bounds |rho . v|^2 below and
+    max_i |rho_i|^2 above in integer arithmetic; an enclosure too wide to
+    decide reads False, and None is returned when no row is certainly
+    nonzero.
     """
-    import mpmath
+    bits = 0 if line.exact else line.prec
 
-    powers = _matrix_powers(a, m.degree)
-    iv, saved = mpmath.iv, mpmath.iv.prec
-    try:
-        if isinstance(root, int):
-            bits, lam = 0, root
+    def ends(z):
+        if line.exact:
+            return (z, z), (0, 0)
+        return _outward_ints(z.real, bits), _outward_ints(z.imag, bits)
 
-            def ends(z: int):
-                return (z, z), (0, 0)
-        else:
-            big = max(abs(x) for pw in powers for row in pw.rows for x in row)
-            bits = _FUNCTIONAL_BITS + (big * sum(map(abs, m.coeffs))).bit_length()
-            u, v, k = next(b for b in _dyadic_brackets(root)
-                           if (b[1] - b[0]) << bits <= 1 << b[2])
-            iv.prec = bits
-            y0 = iv.mpf([u, v]) / 2 ** k
-            lam = iv.mpc(y0 / 2, iv.sqrt(4 - y0 ** 2) / 2)
-
-            def ends(z):
-                return _outward_ints(z.real, bits), _outward_ints(z.imag, bits)
-        r = _quotient_coeffs(m, lam)[::-1]
-        for i in range(a.n):
-            rho = [ends(sum(c * pw.rows[i][j] for c, pw in zip(r, powers))) for j in range(a.n)]
-            if any(lo > 0 or hi < 0 for part in rho for lo, hi in part):
-                break
-        else:
-            return None  # no row of the enclosure is certainly nonzero
-    finally:
-        iv.prec = saved
+    for row in line.rows:
+        rho = [ends(z) for z in row]
+        if any(lo > 0 or hi < 0 for part in rho for lo, hi in part):
+            break
+    else:
+        return None  # no row of the enclosure is certainly nonzero
     # max_i |rho_i|^2 from above, times 4^bits
     top = max(max(-lo, hi) ** 2 + max(-lo2, hi2) ** 2 for (lo, hi), (lo2, hi2) in rho)
     parts = list(zip(*rho))  # the real parts of rho, then the imaginary parts
@@ -592,12 +569,13 @@ def _eigen_functional(a: IntMatrix, m: IntPolynomial,
 
 
 def _outward_ints(x, bits: int) -> tuple[int, int]:
-    """(floor(2^bits a), ceil(2^bits b)) for the mpmath.iv interval [a, b]."""
+    """(floor(2^bits a), ceil(2^bits b)) for the mpmath.iv interval [a, b]
+    whose ends have at most ``bits`` bits: exact at that precision."""
     import mpmath
 
-    with mpmath.workprec(mpmath.iv.prec):
+    with mpmath.workprec(bits):
         lo, hi = (mpmath.ldexp(mpmath.mpf(e), bits) for e in (x.a, x.b))
-    return int(mpmath.floor(lo)), int(mpmath.ceil(hi))
+        return int(mpmath.floor(lo)), int(mpmath.ceil(hi))
 
 
 # -- axiom checking ------------------------------------------------------

@@ -1,7 +1,7 @@
 """Exact integer matrices and their spectral bookkeeping.
 
-Characteristic and minimal polynomials, diagonalizability over C, and the
-finite-order test for GL_n(Z) elements, all in exact arithmetic.
+The minimal polynomial and the finite-order test for GL_n(Z) elements,
+both in exact arithmetic.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import PreconditionError
-from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd, cyclotomic_order, is_squarefree
+from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd, cyclotomic_order
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,6 @@ class IntMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.n)
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n != other.n:
             raise PreconditionError("dimension mismatch")
@@ -57,12 +53,6 @@ class IntMatrix:
         if len(v) != self.n:
             raise PreconditionError("dimension mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.n))
 
     def det(self) -> int:
         """Bareiss fraction-free elimination; exact for any size."""
@@ -120,27 +110,6 @@ class IntMatrix:
         return result
 
 
-def char_poly(a: IntMatrix) -> IntPolynomial:
-    """det(xI - A), monic of degree n, via the Faddeev-LeVerrier recurrence."""
-    n = a.n
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = IntMatrix.identity(n)
-    for k in range(1, n + 1):
-        am = a @ m
-        c = -am.trace() // k
-        assert (-am.trace()) % k == 0
-        coeffs[n - k] = c
-        if k < n:
-            m = IntMatrix(
-                tuple(
-                    tuple(am.rows[i][j] + (c if i == j else 0) for j in range(n))
-                    for i in range(n)
-                )
-            )
-    return IntPolynomial(tuple(coeffs))
-
-
 def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> list[Fraction]:
     """Monic minimal polynomial of the Krylov sequence e, Ae, A^2 e, ..."""
     n = a.n
@@ -180,55 +149,6 @@ def minimal_poly(a: IntMatrix) -> IntPolynomial:
     poly = IntPolynomial.from_fractions(acc)
     assert poly.leading == 1, "minimal polynomial of an integer matrix is monic over Z"
     return poly
-
-
-def is_diagonalizable(a: IntMatrix) -> bool:
-    """Diagonalizable over C iff the minimal polynomial is squarefree."""
-    return is_squarefree(minimal_poly(a))
-
-
-def _euler_phi_prime_power(p: int, a: int) -> int:
-    return p ** (a - 1) * (p - 1)
-
-
-def torsion_order_candidates(n: int) -> list[int]:
-    """All possible orders of finite-order elements of GL_n(Z), ascending.
-
-    An order m is achievable iff the totient sum of its prime-power parts is
-    at most n, where the single factor 2 comes for free when m = 2 mod 4
-    (adjoin -I on the block realizing m/2).
-    """
-    primes = []
-    cand = 2
-    while cand <= n + 1:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    # per-prime feasible powers with their totient cost
-    per_prime: list[list[tuple[int, int]]] = []
-    for p in primes:
-        powers = []
-        a = 1
-        while _euler_phi_prime_power(p, a) <= n:
-            powers.append((p ** a, _euler_phi_prime_power(p, a)))
-            a += 1
-        if powers:
-            per_prime.append(powers)
-
-    orders = set()
-
-    def rec(idx: int, m: int, cost: int):
-        orders.add(m)
-        for j in range(idx, len(per_prime)):
-            for q, c in per_prime[j]:
-                total = cost + c
-                if q == 2 and m % 2 == 1:
-                    total = cost  # m*2 = 2 mod 4: the -I trick is free
-                if total <= n:
-                    rec(j + 1, m * q, total)
-
-    rec(0, 1, 0)
-    return sorted(orders)
 
 
 def finite_order(a: IntMatrix) -> Optional[int]:

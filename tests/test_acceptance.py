@@ -24,9 +24,11 @@ from lengrp.lengths import (
     unit_eigen_seminorm,
     word_length_evaluator,
 )
-from lengrp.matrices import IntMatrix, char_poly, finite_order, torsion_order_candidates
+from lengrp.matrices import IntMatrix, finite_order
 from lengrp.polynomials import has_unit_circle_eigenvalue
 from lengrp.spectral import classify_sdp
+
+from exact_reference import char_poly, is_identity, torsion_order_candidates
 
 CONNER = IntMatrix.from_rows([[0, 0, 0, -1], [1, 0, 0, 2], [0, 1, 0, -1], [0, 0, 1, 2]])
 
@@ -189,7 +191,7 @@ def test_criterion_8_finite_order_cross_validation():
         brute = None
         p = m
         for k in range(1, bound + 1):
-            if p.is_identity:
+            if is_identity(p):
                 brute = k
                 break
             p = p @ m

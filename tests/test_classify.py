@@ -20,11 +20,11 @@ from lengrp.classify import (
 from lengrp.cli import _budget
 from lengrp.errors import OracleExhausted, PreconditionError
 from lengrp.groups import SdpContext, SdpElem, SdpGroup, SharedBall, bfs_ball
-from lengrp.lengths import _eigen_functional
+from lengrp.lengths import _eigen_functional, _Eigenline
 from lengrp.matrices import IntMatrix, minimal_poly
 from lengrp.polynomials import unit_circle_root
-from lengrp.spectral import classify_sdp
 
+from exact_reference import eigenline
 from test_lengths import (
     DEROGATORY,
     numpy_seminorm,
@@ -160,57 +160,58 @@ def test_derogatory_dossier_full_records_seminorm_error():
 
 
 def test_full_dossier_reads_one_minimal_polynomial(monkeypatch):
-    calls = {"minimal_poly": 0, "char_poly": 0}
-    for name in calls:
-        original = getattr(lengrp.matrices, name)
-
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        for module in (lengrp, lengrp.matrices, lengrp.spectral, lengrp.lengths,
-                       lengrp.classify):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    # the characteristic polynomial is a test reference, not library code
+    assert not hasattr(lengrp.matrices, "char_poly") and not hasattr(lengrp, "char_poly")
+    calls = []
+    original = lengrp.matrices.minimal_poly
+    for module in (lengrp, lengrp.matrices, lengrp.spectral, lengrp.lengths, lengrp.classify):
+        if getattr(module, "minimal_poly", None) is original:
+            monkeypatch.setattr(module, "minimal_poly", lambda a: calls.append(a) or original(a))
     d = build_dossier(CONNER, "full", k_max=3, max_radius=6)
     assert d.evidence["eigen_seminorm"]["all_positive"]
-    assert calls == {"minimal_poly": 1, "char_poly": 0}
+    assert len(calls) == 1
 
 
 def test_full_dossier_locates_the_unit_circle_root_once(monkeypatch):
-    # the spectral report carries the root to the eigen-functional and the
-    # seminorm, and the powers of A are formed once for both
-    calls = []
+    # the spectral report carries the root to one eigenline, which forms
+    # the powers of A and r(A) once for the eigen-functional and the seminorm
+    calls, lines = [], []
     original = lengrp.polynomials.unit_circle_root
     for module in (lengrp.polynomials, lengrp.spectral, lengrp.lengths, lengrp.classify):
         if getattr(module, "unit_circle_root", None) is original:
             monkeypatch.setattr(module, "unit_circle_root",
                                 lambda m: calls.append(m) or original(m))
-    lengrp.lengths._matrix_powers.cache_clear()
+    built = lengrp.lengths._Eigenline.__init__
+    monkeypatch.setattr(lengrp.lengths._Eigenline, "__init__",
+                        lambda self, *args: lines.append(self) or built(self, *args))
     d = build_dossier(CONNER, "full", k_max=3, max_radius=6)
     assert d.evidence["eigen_seminorm"]["all_positive"]
-    assert len(calls) == 1
-    assert lengrp.lengths._matrix_powers.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert len(calls) == 1 and len(lines) == 1
+    assert not hasattr(lengrp.lengths, "_matrix_powers")
+    # no eigenline without a unit-circle root or without evidence
+    build_dossier(HYPERBOLIC, "full", k_max=3, max_radius=6)
+    build_dossier(CONNER, "none")
+    assert len(lines) == 1
 
 
 def test_seminorm_all_positive_is_exact():
     # rotation + hyperbolic block: lam = i, and P kills the hyperbolic block
     a = IntMatrix.from_rows(block_diag([[[0, -1], [1, 0]], [[2, 1], [1, 1]]]))
-    table = _seminorm_table(a, classify_sdp(a))
+    table = _seminorm_table(a, eigenline(a))
     assert not table["all_positive"]
     assert table["values"]["e1"] == pytest.approx(2 ** -0.5)
     assert table["values"]["e3"] < 1e-20 and table["values"]["e4"] < 1e-20
     # conjugated so that no unit vector lies in the hyperbolic block
     p = IntMatrix.from_rows([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]])
     b = p.inverse() @ a @ p
-    assert _seminorm_table(b, classify_sdp(b))["all_positive"]
+    assert _seminorm_table(b, eigenline(b))["all_positive"]
 
 
 @PROPERTY_SETTINGS
 @given(unit_circle_twists())
 def test_seminorm_all_positive_matches_numpy_reference(case):
     a, _ = case
-    table = _seminorm_table(a, classify_sdp(a))
+    table = _seminorm_table(a, eigenline(a))
     if "error" in table:  # defective eigenvalue
         return
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
@@ -238,7 +239,7 @@ FINITE_ORDER_KILLS_E1 = IntMatrix.from_rows(
 
 def test_seminorm_table_prints_exact_zeros():
     a = FINITE_ORDER_KILLS_E1
-    table = _seminorm_table(a, classify_sdp(a))
+    table = _seminorm_table(a, eigenline(a))
     assert not table["all_positive"]
     assert table["values"]["e1"] == 0.0
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
@@ -251,7 +252,7 @@ def test_seminorm_table_prints_exact_zeros():
 @given(unit_circle_twists())
 def test_seminorm_table_zero_exactly_where_projector_kills(case):
     a, _ = case
-    table = _seminorm_table(a, classify_sdp(a))
+    table = _seminorm_table(a, eigenline(a))
     if "error" in table:  # defective eigenvalue
         return
     reference = numpy_seminorm(a, numpy_unit_eigenvalue(a))
@@ -339,7 +340,7 @@ def test_settled_lengths_match_the_shared_ball():
         root = unit_circle_root(m)
         if root is None:
             continue
-        exceeds = _eigen_functional(a, m, root)
+        exceeds = _eigen_functional(_Eigenline(a, m, root, 30))
         ctx = SdpContext(a)
         ball = SharedBall(SdpGroup(ctx), 12)
         count = 0
@@ -376,7 +377,7 @@ def test_eigen_functional_bounds_and_settles_word_lengths(block, data):
     p = data.draw(elementary_products(len(block), 3))
     a = p @ IntMatrix.from_rows(block) @ p.inverse()
     m = minimal_poly(a)
-    exceeds = _eigen_functional(a, m, unit_circle_root(m))
+    exceeds = _eigen_functional(_Eigenline(a, m, unit_circle_root(m), 30))
     ctx = SdpContext(a)
     table = bfs_ball(SdpGroup(ctx), 4)
     lengths = [_sdp_length_evaluator(ctx, r, 10 ** 5, exceeds) for r in (3, 4)]

@@ -170,6 +170,18 @@ def test_malformed_matrix_is_a_parse_error(capsys):
     assert code == 1 and "parse" in err and out == ""
 
 
+@pytest.mark.parametrize("matrix", [
+    "[[1.5]]", "[[true]]", '[["1"]]', "[[1e400]]", "DIRECTORY", "[" * 10 ** 4 + "]" * 10 ** 4,
+], ids=["float", "bool", "string", "overflow", "directory", "nested"])
+def test_bad_matrix_input_is_one_parse_error_line(capsys, tmp_path, matrix):
+    if matrix == "DIRECTORY":
+        matrix = str(tmp_path)
+    code, out, err = run(capsys, "classify", "--matrix", matrix)
+    assert code == 1 and out == ""
+    assert err.startswith("lengrp: cannot parse matrix") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_axioms_rejects_nan_tolerance(capsys):
     code, out, _ = run(capsys, "axioms", "--length", "wordlen", "--tolerance", "nan")
     assert code == 1 and out == ""

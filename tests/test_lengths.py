@@ -20,7 +20,8 @@ from lengrp.groups import HeisElem, HeisenbergGroup, SdpContext, SdpElem, bfs_ba
 from lengrp.lengths import (
     CoverageGap,
     _eigen_functional,
-    _unit_eigen_projector,
+    _Eigenline,
+    _outward_ints,
     HeisWordOracle,
     LengthEvaluator,
     blachere_word_length,
@@ -29,7 +30,6 @@ from lengrp.lengths import (
     check_axioms,
     extend_rational,
     heis_word_length,
-    lattice_swl_evaluator,
     normalize_heis_coords,
     quadratic_evaluator,
     quadratic_length,
@@ -45,6 +45,12 @@ from lengrp.lengths import (
 from lengrp.matrices import IntMatrix, minimal_poly
 from lengrp.polynomials import unit_circle_root
 
+from exact_reference import (
+    eigenline,
+    lattice_swl_evaluator,
+    projector_enclosure,
+    unit_eigen_projector,
+)
 from search_reference import bfs_word_length
 from test_matrices import (
     CONNER,
@@ -400,7 +406,7 @@ def test_unit_eigen_seminorm_rejects_bad_dps():
         with pytest.raises(PreconditionError, match="dps"):
             unit_eigen_seminorm(CONNER, dps=bad)
         with pytest.raises(PreconditionError, match="dps"):
-            _unit_eigen_projector(CONNER, bad)
+            unit_eigen_projector(CONNER, bad)
 
 
 def test_domination_word_length():
@@ -456,7 +462,7 @@ def test_unit_eigen_seminorm_rank_one_scaling():
 @pytest.mark.parametrize("a", [CONNER, LEHMER, ROTATION_PAIR], ids=["conner", "lehmer", "rotations"])
 @pytest.mark.parametrize("dps", [15, 30, 60])
 def test_unit_eigen_projector_residuals_follow_dps(a, dps):
-    lam, p = _unit_eigen_projector(a, dps)
+    lam, p = unit_eigen_projector(a, dps)
     bound = mpmath.mpf(10) ** (5 - dps)
     with mpmath.workdps(2 * dps):
         am = mpmath.matrix(a.rows)
@@ -467,6 +473,37 @@ def test_unit_eigen_projector_residuals_follow_dps(a, dps):
     assert all(sem.evaluate(e_i) > 1e-6 for e_i in unit_vectors(a.n))
 
 
+@pytest.mark.parametrize("a", [CONNER, LEHMER, ROTATION_PAIR], ids=["conner", "lehmer", "rotations"])
+@pytest.mark.parametrize("dps", [15, 30, 60])
+def test_eigenline_projector_enclosure_is_dps_digits_wide(a, dps):
+    # dps buys digits: the real and imaginary part of every entry of P's
+    # enclosure, whose midpoints the seminorm takes, are at most
+    # 10^-dps max |Re P_ij|, |Im P_ij| wide
+    line = eigenline(a, dps)
+    parts = [part for row in projector_enclosure(line) for z in row
+             for part in (z.real, z.imag)]
+    with mpmath.workprec(line.prec + 8):
+        top = max(abs(mpmath.mpf(x.a) + mpmath.mpf(x.b)) / 2 for x in parts)
+        assert top > 0.1
+        assert all(mpmath.mpf(x.b) - mpmath.mpf(x.a) <= mpmath.mpf(10) ** -dps * top
+                   for x in parts)
+
+
+def test_outward_ints_round_the_eigenline_enclosure_outward_exactly():
+    # floor and ceil of 2^prec times each end, exactly: the ends carry up to
+    # prec bits, more than a float, so rounding at a lower precision would
+    # move them inward
+    line = eigenline(LEHMER)
+    scale = 2 ** line.prec
+    for z in (x for row in line.rows for x in row):
+        for part in (z.real, z.imag):
+            lo, hi = _outward_ints(part, line.prec)
+            with mpmath.workprec(line.prec):
+                a, b = (mpmath.mpf(e) for e in (part.a, part.b))
+            a, b = ((-1) ** (e < 0) * Fraction(e.man) * Fraction(2) ** e.exp for e in (a, b))
+            assert lo <= a * scale < lo + 1 and hi - 1 < b * scale <= hi
+
+
 def test_unit_eigen_seminorm_repeated_unit_root():
     # (x^2 + 1)^2: lambda = i is a double root of the minimal polynomial
     with pytest.raises(NumericalDegeneracyError,
@@ -475,7 +512,7 @@ def test_unit_eigen_seminorm_repeated_unit_root():
     # (x^2 + 1)^2 (x^2 + x + 1): lambda = omega (least x + 1/x) is simple,
     # although i is still defective
     a = IntMatrix.from_rows(companion([1, 1, 3, 2, 3, 1]))
-    lam, p = _unit_eigen_projector(a, 30)
+    lam, p = unit_eigen_projector(a, 30)
     with mpmath.workdps(60):
         assert abs(lam - mpmath.mpc(-0.5, mpmath.sqrt(3) / 2)) < 1e-25
         assert mpmath.mnorm(mpmath.matrix(a.rows) * p - lam * p, 1) < 1e-25
@@ -488,7 +525,7 @@ def test_unit_eigen_projector_least_half_trace_root_zero():
     # q = y^2 - y, and its isolating interval (-1/4, 5/8] has no dyadic
     # midpoint at 0, so the refinement must find y0 = 0 exactly
     a = IntMatrix.from_rows(companion([1, -1, 2, -1]))
-    lam, p = _unit_eigen_projector(a, 30)
+    lam, p = unit_eigen_projector(a, 30)
     assert lam == mpmath.mpc(0, 1)
     with mpmath.workdps(60):
         assert mpmath.mnorm(mpmath.matrix(a.rows) * p - lam * p, 1) < 1e-25
@@ -663,7 +700,7 @@ def test_eigen_functional_settles_the_derogatory_twist_in_integers():
     assert unit_circle_root(m) == 1
     with pytest.raises(NumericalDegeneracyError):
         unit_eigen_seminorm(a)
-    exceeds = _eigen_functional(a, m, 1)
+    exceeds = _eigen_functional(_Eigenline(a, m, 1, 30))
     ctx = SdpContext(a)
     for k in range(1, 13):
         e1, e2, e3 = (SdpElem(tuple(k if j == i else 0 for j in range(3)), 0, ctx)

@@ -5,10 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lengrp.errors import PreconditionError
-from lengrp.matrices import IntMatrix, char_poly
+from lengrp.matrices import IntMatrix
 from lengrp.polynomials import has_unit_circle_eigenvalue, is_irreducible
 from lengrp.spectral import classify_sdp
 
+from exact_reference import char_poly
 from test_matrices import (
     CONNER,
     HYPERBOLIC,
