@@ -1,118 +1,81 @@
 """Exact-arithmetic toolkit for length functions on the discrete
-Heisenberg group and semidirect products Z^n x|_A Z."""
+Heisenberg group and semidirect products Z^n x|_A Z.
 
-from .classify import ClassificationDossier, build_dossier
-from .errors import (
-    LengrpError,
-    NumericalDegeneracyError,
-    OracleExhausted,
-    PreconditionError,
-    ResourceExhausted,
-)
-from .groups import (
-    BallTable,
-    HeisElem,
-    HeisenbergGroup,
-    SdpContext,
-    SdpElem,
-    SdpGroup,
-    bfs_ball,
-    parse_heis,
-    parse_sdp,
-)
-from .lengths import (
-    AxiomReport,
-    CoverageGap,
-    HeisWordOracle,
-    LengthEvaluator,
-    StableLengthEstimate,
-    blachere_word_length,
-    ceil_two_sqrt,
-    central_power_word_length,
-    check_axioms,
-    extend_rational,
-    heis_word_length,
-    quadratic_evaluator,
-    quadratic_length,
-    sqrt_bound_witness,
-    stable_length_estimate,
-    stable_norm_domination_check,
-    swl_evaluator,
-    swl_heisenberg,
-    unit_eigen_seminorm,
-    word_length_evaluator,
-    zero_evaluator,
-)
-from .matrices import (
-    IntMatrix,
-    finite_order,
-    minimal_poly,
-)
-from .polynomials import (
-    IntPolynomial,
-    cyclotomic_order,
-    half_trace_transform,
-    has_unit_circle_eigenvalue,
-    is_irreducible,
-    is_squarefree,
-    self_reciprocal_part,
-    squarefree_part,
-    sturm_count,
-)
-from .spectral import SpectralReport, classify_sdp
+The names below load on first access (PEP 562): ``import lengrp`` loads
+no submodule, and ``lengrp.build_dossier`` or ``from lengrp import
+build_dossier`` loads the module that defines it, with what that module
+imports.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AxiomReport",
-    "BallTable",
-    "ClassificationDossier",
-    "CoverageGap",
-    "HeisElem",
-    "HeisWordOracle",
-    "HeisenbergGroup",
-    "IntMatrix",
-    "IntPolynomial",
-    "LengrpError",
-    "LengthEvaluator",
-    "NumericalDegeneracyError",
-    "OracleExhausted",
-    "PreconditionError",
-    "ResourceExhausted",
-    "SdpContext",
-    "SdpElem",
-    "SdpGroup",
-    "SpectralReport",
-    "StableLengthEstimate",
-    "bfs_ball",
-    "blachere_word_length",
-    "build_dossier",
-    "ceil_two_sqrt",
-    "central_power_word_length",
-    "check_axioms",
-    "classify_sdp",
-    "cyclotomic_order",
-    "extend_rational",
-    "finite_order",
-    "half_trace_transform",
-    "has_unit_circle_eigenvalue",
-    "heis_word_length",
-    "is_irreducible",
-    "is_squarefree",
-    "minimal_poly",
-    "parse_heis",
-    "parse_sdp",
-    "quadratic_evaluator",
-    "quadratic_length",
-    "self_reciprocal_part",
-    "sqrt_bound_witness",
-    "squarefree_part",
-    "stable_length_estimate",
-    "stable_norm_domination_check",
-    "sturm_count",
-    "swl_evaluator",
-    "swl_heisenberg",
-    "unit_eigen_seminorm",
-    "word_length_evaluator",
-    "zero_evaluator",
-]
+# public name -> defining submodule
+_EXPORTS = {
+    "AxiomReport": "lengths",
+    "BallTable": "groups",
+    "ClassificationDossier": "classify",
+    "CoverageGap": "lengths",
+    "HeisElem": "groups",
+    "HeisWordOracle": "lengths",
+    "HeisenbergGroup": "groups",
+    "IntMatrix": "matrices",
+    "IntPolynomial": "polynomials",
+    "LengrpError": "errors",
+    "LengthEvaluator": "lengths",
+    "NumericalDegeneracyError": "errors",
+    "OracleExhausted": "errors",
+    "PreconditionError": "errors",
+    "ResourceExhausted": "errors",
+    "SdpContext": "groups",
+    "SdpElem": "groups",
+    "SdpGroup": "groups",
+    "SpectralReport": "spectral",
+    "StableLengthEstimate": "lengths",
+    "bfs_ball": "groups",
+    "blachere_word_length": "lengths",
+    "build_dossier": "classify",
+    "ceil_two_sqrt": "lengths",
+    "central_power_word_length": "lengths",
+    "check_axioms": "lengths",
+    "classify_sdp": "spectral",
+    "cyclotomic_order": "polynomials",
+    "extend_rational": "lengths",
+    "finite_order": "matrices",
+    "half_trace_transform": "polynomials",
+    "has_unit_circle_eigenvalue": "polynomials",
+    "heis_word_length": "lengths",
+    "is_irreducible": "polynomials",
+    "is_squarefree": "polynomials",
+    "minimal_poly": "matrices",
+    "parse_heis": "groups",
+    "parse_sdp": "groups",
+    "quadratic_evaluator": "lengths",
+    "quadratic_length": "lengths",
+    "self_reciprocal_part": "polynomials",
+    "sqrt_bound_witness": "lengths",
+    "squarefree_part": "polynomials",
+    "stable_length_estimate": "lengths",
+    "stable_norm_domination_check": "lengths",
+    "sturm_count": "polynomials",
+    "swl_evaluator": "lengths",
+    "swl_heisenberg": "lengths",
+    "unit_eigen_seminorm": "lengths",
+    "word_length_evaluator": "lengths",
+    "zero_evaluator": "lengths",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later look-ups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

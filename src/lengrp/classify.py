@@ -3,27 +3,30 @@
 Wraps the exact spectral verdicts in claim strings with their citation
 tags, and optionally attaches experimental corroboration: BFS stable-length
 ratios for the lattice generators and the eigenline seminorm table.  The
-tag strings below are part of the stable output schema.
+tag strings below are part of the stable output schema.  ``groups`` and
+``lengths`` are imported by the evidence helpers, not with the module, so
+a "none" dossier never loads them.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .errors import NumericalDegeneracyError, OracleExhausted, PreconditionError
-from .groups import DEFAULT_STATE_BUDGET, SdpContext, SdpElem, SdpGroup, SharedBall
-from .lengths import (
-    LengthEvaluator,
-    _eigen_functional,
-    _Eigenline,
-    _eigenline_seminorm,
-    stable_length_estimate,
+from .errors import (
+    DEFAULT_STATE_BUDGET,
+    NumericalDegeneracyError,
+    OracleExhausted,
+    PreconditionError,
 )
 from .matrices import IntMatrix, _annihilator_of_vector
 from .polynomials import IntPolynomial, vanishes_at
 from .spectral import SpectralReport, classify_sdp
+
+if TYPE_CHECKING:
+    from .groups import SdpContext, SdpElem
+    from .lengths import LengthEvaluator, _Eigenline
 
 TAG_FINITE = "Lemma finite"
 TAG_NORM1 = "Lemma norm1"
@@ -118,6 +121,9 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int,
     exceeds(g, c) only if phi(g) > c settles |g| = upper when
     phi > upper - 1, and |g| > max_radius when phi > max_radius, without a
     search.  Every other target is searched in one SharedBall."""
+    from .groups import SdpGroup, SharedBall
+    from .lengths import LengthEvaluator
+
     ball = SharedBall(SdpGroup(ctx), max_radius, budget)
 
     def func(g: SdpElem) -> int:
@@ -135,6 +141,9 @@ def _sdp_length_evaluator(ctx: SdpContext, max_radius: int, budget: int,
 
 def _generator_estimates(a: IntMatrix, line: Optional[_Eigenline], k_max: int,
                          max_radius: int, budget: int) -> dict:
+    from .groups import SdpContext, SdpElem
+    from .lengths import _eigen_functional, stable_length_estimate
+
     ctx = SdpContext(a)
     exceeds = _eigen_functional(line) if line is not None else None
     length = _sdp_length_evaluator(ctx, max_radius, budget, exceeds)
@@ -160,6 +169,8 @@ def _estimate_entry(ks: tuple, ratios: tuple, running: tuple, partial: bool,
 
 
 def _seminorm_table(a: IntMatrix, line: _Eigenline) -> dict:
+    from .lengths import _eigenline_seminorm
+
     try:
         sem = _eigenline_seminorm(line)
     except NumericalDegeneracyError as exc:
@@ -193,6 +204,8 @@ def build_dossier(a: IntMatrix, evidence_level: str = "none", *,
     )
     if evidence_level == "none":
         return dossier
+    from .lengths import _Eigenline
+
     root = report.unit_circle_root
     line = _Eigenline(a, report.minimal_poly, root, 30) if root is not None else None
     dossier.evidence["stable_length"] = _generator_estimates(a, line, k_max, max_radius, budget)

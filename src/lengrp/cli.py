@@ -4,6 +4,11 @@ Subcommands: classify, wordlen, stable, axioms, ball.  All results go to
 stdout as schema-versioned JSON (sorted keys, so identical configurations
 give byte-identical output); diagnostics go to stderr.  Exit codes:
 0 success, 1 parse error, 2 precondition failure, 3 resource exhaustion.
+Each subcommand imports the layers it runs when it runs, so a call loads
+only those: wordlen, stable and axioms load groups and lengths, a
+Heisenberg ball loads groups (a semidirect-product ball adds matrices),
+and classify loads matrices, polynomials, spectral and classify, plus
+groups and lengths for its evidence levels.
 """
 from __future__ import annotations
 
@@ -13,28 +18,17 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .classify import build_dossier
-from .errors import OracleExhausted, PreconditionError, ResourceExhausted
-from .groups import (
+from .errors import (
     DEFAULT_STATE_BUDGET,
-    HeisElem,
-    HeisenbergGroup,
-    SdpContext,
-    SdpGroup,
-    bfs_ball,
-    parse_heis,
+    OracleExhausted,
+    PreconditionError,
+    ResourceExhausted,
 )
-from .lengths import (
-    HeisWordOracle,
-    check_axioms,
-    quadratic_evaluator,
-    stable_length_estimate,
-    swl_evaluator,
-    word_length_evaluator,
-    zero_evaluator,
-)
-from .matrices import IntMatrix
+
+if TYPE_CHECKING:
+    from .matrices import IntMatrix
 
 SCHEMA = "lengrp/1"
 
@@ -83,6 +77,8 @@ def _read_source(arg: str) -> str:
 
 def _parse_matrix(arg: str) -> IntMatrix:
     """JSON rows of integers (not bools, floats or strings)."""
+    from .matrices import IntMatrix
+
     try:
         rows = json.loads(_read_source(arg))
         if not all(type(x) is int for row in rows for x in row):
@@ -113,6 +109,13 @@ def _budget() -> int:
 
 
 def _evaluator(name: str):
+    from .lengths import (
+        quadratic_evaluator,
+        swl_evaluator,
+        word_length_evaluator,
+        zero_evaluator,
+    )
+
     factories = {
         "swl": swl_evaluator,
         "quadratic": quadratic_evaluator,
@@ -128,6 +131,8 @@ def _evaluator(name: str):
 
 
 def cmd_classify(args) -> int:
+    from .classify import build_dossier
+
     matrix = _parse_matrix(args.matrix)
     dossier = build_dossier(matrix, args.evidence, k_max=args.k_max,
                             max_radius=args.radius, budget=_budget())
@@ -136,6 +141,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_wordlen(args) -> int:
+    from .groups import HeisElem
+    from .lengths import HeisWordOracle
+
     oracle = HeisWordOracle(max_radius=args.oracle_radius)
     result = oracle.word_length(HeisElem(args.x, args.y, args.z))
     _emit({"command": "wordlen", "element": [args.x, args.y, args.z],
@@ -144,6 +152,9 @@ def cmd_wordlen(args) -> int:
 
 
 def cmd_stable(args) -> int:
+    from .groups import parse_heis
+    from .lengths import stable_length_estimate
+
     try:
         g = parse_heis(args.element)
     except ValueError as exc:
@@ -164,6 +175,8 @@ def cmd_stable(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .lengths import check_axioms
+
     if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise _ParseExit(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     report = check_axioms(_evaluator(args.length), sample_budget=args.samples,
@@ -174,6 +187,8 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from .groups import HeisenbergGroup, SdpContext, SdpGroup, bfs_ball
+
     if args.group == "heis":
         group = HeisenbergGroup()
     elif args.group == "sdp":

@@ -10,17 +10,22 @@ target outside the radius asked for.
 """
 from __future__ import annotations
 
-import csv
 import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Dict, Hashable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional
 
-from .errors import PreconditionError, ResourceExhausted
-from .matrices import IntMatrix
+from .errors import (
+    DEFAULT_STATE_BUDGET,
+    PreconditionError,
+    ResourceExhausted,
+    _as_int,
+    _int_tuple,
+)
 
-DEFAULT_STATE_BUDGET = 2_000_000
+if TYPE_CHECKING:
+    from .matrices import IntMatrix
 
 Key = Hashable  # a coordinate tuple, or an SdpGroup's packed int
 _HASH_BITS = sys.hash_info.modulus.bit_length()  # ints hash modulo 2^61 - 1
@@ -37,6 +42,11 @@ class HeisElem:
     x: int
     y: int
     z: int
+
+    def __post_init__(self):
+        if not type(self.x) is type(self.y) is type(self.z) is int:
+            for name in ("x", "y", "z"):
+                object.__setattr__(self, name, _as_int(getattr(self, name)))
 
     @classmethod
     def identity(cls) -> "HeisElem":
@@ -95,7 +105,8 @@ class SdpContext:
             raise PreconditionError("twist matrix must lie in GL_n(Z)")
         self.matrix = matrix
         self.n = matrix.n
-        self._powers: Dict[int, IntMatrix] = {0: IntMatrix.identity(matrix.n)}
+        # the twist's own type: groups does not import matrices
+        self._powers: Dict[int, IntMatrix] = {0: type(matrix).identity(matrix.n)}
         self._max_entries: Dict[int, int] = {}
 
     @cached_property
@@ -137,7 +148,9 @@ class SdpElem:
     def __post_init__(self):
         if len(self.v) != self.ctx.n:
             raise PreconditionError("lattice part has wrong dimension")
-        object.__setattr__(self, "v", tuple(int(x) for x in self.v))
+        object.__setattr__(self, "v", _int_tuple(self.v))
+        if type(self.t) is not int:
+            object.__setattr__(self, "t", _as_int(self.t))
 
     def _check(self, other: "SdpElem") -> None:
         if self.ctx != other.ctx:
@@ -370,6 +383,8 @@ class BallTable:
                 "ball_size": self.ball_size}
 
     def to_csv(self, path) -> None:
+        import csv
+
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["coordinates", "length"])

@@ -5,8 +5,9 @@ word length, subadditive-limit estimation, rational extension of lattice
 length functions, the eigenline projection seminorm, a quadratically-growing
 length function, and a property-based checker for the three length-function
 axioms (homogeneity along powers, conjugation invariance, subadditivity on
-commuting pairs).  ``mpmath`` is imported by the numeric helpers that use
-it, not with the module, so word lengths and "none" dossiers never load it.
+commuting pairs).  ``mpmath``, ``matrices`` and ``polynomials`` are
+imported by the eigenline helpers that use them, not with the module, so
+word lengths never load them and "none" dossiers never load mpmath.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, isqrt
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     LengrpError,
@@ -32,16 +33,10 @@ from .groups import (
     SdpElem,
     SharedBall,
 )
-from .matrices import IntMatrix, minimal_poly
-from .polynomials import (
-    IntPolynomial,
-    UnitRoot,
-    _dyadic_brackets,
-    _fp,
-    _fp_gcd,
-    unit_circle_root,
-    vanishes_at,
-)
+
+if TYPE_CHECKING:
+    from .matrices import IntMatrix
+    from .polynomials import IntPolynomial, UnitRoot
 
 Value = Union[int, Fraction, float]
 
@@ -408,13 +403,15 @@ class _Eigenline:
         import mpmath
         from mpmath.libmp import dps_to_prec
 
+        from .polynomials import _dyadic_brackets
+
         if dps < 1:
             raise PreconditionError(f"dps must be >= 1, got {dps}")
         if root is None:
             raise PreconditionError("matrix has no eigenvalue of modulus one")
         self.m, self.root, self.dps = m, root, dps
         self.exact = isinstance(root, int)
-        powers = [IntMatrix.identity(a.n)]
+        powers = [type(a).identity(a.n)]
         for _ in range(m.degree - 1):
             powers.append(powers[-1] @ a)
         big = max(abs(x) for pw in powers for row in pw.rows for x in row)
@@ -471,6 +468,8 @@ def _eigenline_seminorm(line: _Eigenline) -> LengthEvaluator:
     """unit_eigen_seminorm(a, line.dps) from the eigenline of A."""
     import mpmath
 
+    from .polynomials import IntPolynomial, _fp, _fp_gcd, vanishes_at
+
     if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(line.m), _fp(line.m.derivative()))),
                    line.root):
         raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
@@ -508,6 +507,9 @@ def unit_eigen_seminorm(a: IntMatrix, dps: int = 30) -> LengthEvaluator:
     modulus-one eigenvalue and NumericalDegeneracyError when lam is a
     repeated root of m (A is not diagonalizable on that eigenvalue).
     """
+    from .matrices import minimal_poly
+    from .polynomials import unit_circle_root
+
     m = minimal_poly(a)
     return _eigenline_seminorm(_Eigenline(a, m, unit_circle_root(m), dps))
 

@@ -1,16 +1,19 @@
 """Exact integer matrices and their spectral bookkeeping.
 
 The minimal polynomial and the finite-order test for GL_n(Z) elements,
-both in exact arithmetic.
+both in exact arithmetic.  ``polynomials`` is imported by those two
+functions, not with the module, so matrix products alone never load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .errors import PreconditionError
-from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd, cyclotomic_order
+from .errors import PreconditionError, _int_tuple
+
+if TYPE_CHECKING:
+    from .polynomials import IntPolynomial
 
 
 @dataclass(frozen=True)
@@ -20,7 +23,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(map(_int_tuple, self.rows))
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise PreconditionError("matrix must be square with n >= 1")
@@ -134,6 +137,8 @@ def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> list[Fraction]:
 def minimal_poly(a: IntMatrix) -> IntPolynomial:
     """Monic polynomial of least degree with p(A) = 0, exact: the lcm of
     the annihilators of the unit vectors."""
+    from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd
+
     n = a.n
     acc: list[Fraction] = [Fraction(1)]
     for i in range(n):
@@ -157,6 +162,8 @@ def finite_order(a: IntMatrix) -> Optional[int]:
     A^k = I iff the minimal polynomial divides x^k - 1, so the order is the
     cyclotomic order of the minimal polynomial (Kronecker: no matrix powers).
     """
+    from .polynomials import cyclotomic_order
+
     if abs(a.det()) != 1:
         raise PreconditionError("finite order is asked of GL_n(Z) matrices only")
     return cyclotomic_order(minimal_poly(a))

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _int_tuple
 
 Scalar = Union[int, Fraction]
 
@@ -38,7 +38,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = [int(c) for c in self.coeffs]
+        cs = list(_int_tuple(self.coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

@@ -200,31 +200,33 @@ def test_ball_unwritable_output(capsys, tmp_path):
     assert not missing.parent.exists()
 
 
-def test_import_does_not_load_sympy():
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports lengrp from this
+    checkout, with the default memory budget; it must exit 0."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, lengrp; assert 'sympy' not in sys.modules, 'sympy imported'"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    env.pop("LENGRP_MEMORY_BUDGET", None)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_import_does_not_load_sympy():
+    run_python("import sys, lengrp; assert 'sympy' not in sys.modules, 'sympy imported'")
 
 
 def test_classify_does_not_load_sympy():
     """Irreducibility of a quartic without a rational root needs no sympy."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys; from lengrp.cli import main; "
-            "assert main(['classify', '--matrix', '[[0,0,0,-1],[1,0,0,2],[0,1,0,-1],[0,0,1,2]]']) == 0; "
-            "assert 'sympy' not in sys.modules, 'sympy imported'")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
+    run_python("import sys; from lengrp.cli import main; "
+               "assert main(['classify', '--matrix', '[[0,0,0,-1],[1,0,0,2],[0,1,0,-1],[0,0,1,2]]']) == 0; "
+               "assert 'sympy' not in sys.modules, 'sympy imported'")
 
 
 def test_only_numeric_evidence_loads_mpmath():
     """Word lengths and "none" dossiers need no mpmath; a full dossier
     imports it on demand and still prints its golden."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = (
         "import contextlib, io, sys\n"
         "import lengrp.cli\n"
@@ -238,10 +240,64 @@ def test_only_numeric_evidence_loads_mpmath():
         "                            '--evidence', 'full', '--radius', '11'])\n"
         "assert code == 0 and 'mpmath' in sys.modules\n"
         "sys.stdout.write(out.getvalue())\n")
-    env.pop("LENGRP_MEMORY_BUDGET", None)
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True)
+    done = run_python(code)
     assert done.stdout == (GOLDEN / "classify_full_r11_conner.json").read_text()
+
+
+def test_import_loads_no_submodule():
+    run_python("import sys, lengrp\n"
+               "loaded = [m for m in sys.modules if m.startswith('lengrp.')]\n"
+               "assert not loaded, loaded\n")
+
+
+HEISENBERG_LAYERS = {"cli", "errors", "groups", "lengths"}
+
+
+@pytest.mark.parametrize("argv, layers, golden", [
+    (["wordlen", "2", "1", "2"], HEISENBERG_LAYERS, "cli_wordlen.json"),
+    (["stable", "1,1,0", "--k-max", "5"], HEISENBERG_LAYERS, "cli_stable.json"),
+    (["axioms", "--length", "swl", "--samples", "200", "--seed", "7"],
+     HEISENBERG_LAYERS, "cli_axioms.json"),
+    (["ball", "--group", "heis", "--radius", "4"], {"cli", "errors", "groups"},
+     "cli_ball_heis.json"),
+    (["ball", "--group", "sdp", "--matrix", "[[2,1],[1,1]]", "--radius", "3"],
+     {"cli", "errors", "groups", "matrices"}, "cli_ball_sdp.json"),
+    (["classify", "--matrix", CONNER_ARG],
+     {"cli", "errors", "matrices", "polynomials", "spectral", "classify"},
+     "cli_classify_none.json"),
+], ids=["wordlen", "stable", "axioms", "ball-heis", "ball-sdp", "classify-none"])
+def test_each_command_loads_only_its_layers(argv, layers, golden):
+    """A command imports the layers it runs and no other: the Heisenberg
+    commands never load the polynomial, matrix, spectral or classify code,
+    and a "none" classification never loads lengths."""
+    code = ("import sys\n"
+            "from lengrp.cli import main\n"
+            f"code = main({argv!r})\n"
+            "loaded = {m[len('lengrp.'):] for m in sys.modules if m.startswith('lengrp.')}\n"
+            f"assert code == 0 and loaded == {layers!r}, (code, sorted(loaded))\n")
+    done = run_python(code)
+    assert done.stdout == (GOLDEN / golden).read_text()
+
+
+def test_public_names_resolve_to_their_defining_modules():
+    code = (
+        "import sys, lengrp\n"
+        "assert set(lengrp.__all__) <= set(dir(lengrp))\n"
+        "names = {}\n"
+        "exec('from lengrp import *', names)\n"
+        "assert set(lengrp.__all__) <= set(names)\n"
+        "for name in lengrp.__all__:\n"
+        "    obj = getattr(lengrp, name)\n"
+        "    assert obj.__module__.startswith('lengrp.'), name\n"
+        "    assert getattr(sys.modules[obj.__module__], name) is obj is names[name], name\n")
+    run_python(code)
+
+
+def test_unknown_package_name_is_an_attribute_error():
+    import lengrp
+
+    with pytest.raises(AttributeError, match="module 'lengrp' has no attribute 'no_such_name'"):
+        lengrp.no_such_name
 
 
 def test_classify_full_evidence_rank_one_seminorm(capsys):

@@ -23,7 +23,7 @@ from lengrp.groups import (
 from lengrp.matrices import IntMatrix
 
 from search_reference import bfs_word_length, outside
-from test_matrices import PROPERTY_SETTINGS, elementary_products
+from test_matrices import PROPERTY_SETTINGS, Seven, elementary_products
 
 
 def random_heis(rng, bound=5):
@@ -86,6 +86,22 @@ HYP_CTX = SdpContext(IntMatrix.from_rows([[2, 1], [1, 1]]))
 def test_sdp_context_validation():
     with pytest.raises(PreconditionError):
         SdpContext(IntMatrix.from_rows([[2, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "7"])
+def test_element_coordinates_must_be_integers(bad):
+    ctx = SdpContext(IntMatrix.from_rows([[2, 1], [1, 1]]))
+    for make in (lambda: HeisElem(bad, 0, 0), lambda: HeisElem(0, 0, bad),
+                 lambda: SdpElem((0, bad), 0, ctx), lambda: SdpElem((0, 0), bad, ctx)):
+        with pytest.raises(PreconditionError, match="expected an integer"):
+            make()
+
+
+def test_index_coordinates_become_ints():
+    ctx = SdpContext(IntMatrix.from_rows([[2, 1], [1, 1]]))
+    g, h = HeisElem(Seven(), 0, 1), SdpElem((Seven(), 1), Seven(), ctx)
+    assert g == HeisElem(7, 0, 1) and type(g.x) is int
+    assert h == SdpElem((7, 1), 7, ctx) and type(h.v[0]) is type(h.t) is int
 
 
 def test_sdp_group_laws():

@@ -43,6 +43,25 @@ def test_construction_validation():
         IntMatrix.from_rows([])
 
 
+class Seven:
+    """An integer type of its own: operator.index reads it as 7."""
+
+    def __index__(self):
+        return 7
+
+
+@pytest.mark.parametrize("entry", [1.5, True, "7"])
+def test_non_integer_entries_are_rejected(entry):
+    # int() would truncate 1.5, read True as 1 and parse "7"
+    with pytest.raises(PreconditionError, match="expected an integer"):
+        IntMatrix.from_rows([[1, 0], [0, entry]])
+
+
+def test_index_entries_become_ints():
+    m = IntMatrix.from_rows([[Seven(), 0], [0, 1]])
+    assert m.rows == ((7, 0), (0, 1)) and type(m.rows[0][0]) is int
+
+
 def test_matmul_and_apply():
     assert HYPERBOLIC @ IntMatrix.identity(2) == HYPERBOLIC
     assert HYPERBOLIC.apply((1, 0)) == (2, 1)

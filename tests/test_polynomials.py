@@ -51,6 +51,17 @@ def test_canonical_form():
     assert IntPolynomial((5,)).coeffs == (1,)
 
 
+@pytest.mark.parametrize("coeff", [1.5, True, "7"])
+def test_non_integer_coefficients_are_rejected(coeff):
+    with pytest.raises(PreconditionError, match="expected an integer"):
+        IntPolynomial((coeff, 1))
+
+
+def test_index_coefficients_become_ints():
+    p = IntPolynomial((np.int64(-3), 1))
+    assert p.coeffs == (-3, 1) and all(type(c) is int for c in p.coeffs)
+
+
 def test_degree_and_evaluation():
     p = IntPolynomial((1, -3, 1))  # x^2 - 3x + 1
     assert p.degree == 2
