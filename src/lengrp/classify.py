@@ -10,7 +10,6 @@ a "none" dossier never loads them.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -19,6 +18,8 @@ from .errors import (
     NumericalDegeneracyError,
     OracleExhausted,
     PreconditionError,
+    _Frozen,
+    _Record,
 )
 from .matrices import IntMatrix, _annihilator_of_vector
 from .polynomials import IntPolynomial, vanishes_at
@@ -39,21 +40,30 @@ EVIDENCE_LEVELS = ("none", "estimates", "full")
 TREND_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    claim: str
-    lemma: Optional[str]  # exactly one tag for decided claims, None otherwise
+class Verdict(_Frozen):
+    """A claim and its lemma: exactly one tag for decided claims, None otherwise."""
+
+    __slots__ = ("claim", "lemma")
+
+    def __init__(self, claim: str, lemma: Optional[str]):
+        object.__setattr__(self, "claim", claim)
+        object.__setattr__(self, "lemma", lemma)
 
     def to_json_dict(self) -> dict:
         return {"claim": self.claim, "lemma": self.lemma}
 
 
-@dataclass(slots=True)
-class ClassificationDossier:
-    matrix: IntMatrix
-    report: SpectralReport
-    verdicts: list[Verdict]
-    evidence: dict = field(default_factory=dict)
+class ClassificationDossier(_Record):
+    """``evidence`` defaults to a new empty dict."""
+
+    __slots__ = ("matrix", "report", "verdicts", "evidence")
+
+    def __init__(self, matrix: IntMatrix, report: SpectralReport, verdicts: list[Verdict],
+                 evidence: Optional[dict] = None):
+        self.matrix = matrix
+        self.report = report
+        self.verdicts = verdicts
+        self.evidence = {} if evidence is None else evidence
 
     def to_json_dict(self) -> dict:
         """The dossier as JSON types; the evidence's tuples are written as

@@ -8,7 +8,11 @@ Each subcommand imports the layers it runs when it runs, so a call loads
 only those: wordlen, stable and axioms load groups and lengths, a
 Heisenberg ball loads groups (a semidirect-product ball adds matrices),
 and classify loads matrices, polynomials, spectral and classify, plus
-groups and lengths for its evidence levels.
+groups and lengths for its evidence levels.  No layer imports
+``dataclasses``, and ``fractions`` is loaded only by the code that makes
+rationals, so wordlen, axioms and the Heisenberg ball never load it.
+Every command that searches a Cayley graph (wordlen, stable, axioms,
+ball, classify) bounds its states by LENGRP_MEMORY_BUDGET.
 """
 from __future__ import annotations
 
@@ -17,7 +21,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -50,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
+    # no Fraction exists unless fractions is loaded, and word lengths never load it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
@@ -108,7 +113,9 @@ def _budget() -> int:
     return budget
 
 
-def _evaluator(name: str):
+def _evaluator(name: str, budget: int):
+    """The named length function; the word metric's oracle ball holds at
+    most ``budget`` states."""
     from .lengths import (
         quadratic_evaluator,
         swl_evaluator,
@@ -119,7 +126,7 @@ def _evaluator(name: str):
     factories = {
         "swl": swl_evaluator,
         "quadratic": quadratic_evaluator,
-        "wordlen": word_length_evaluator,
+        "wordlen": lambda: word_length_evaluator(budget=budget),
         "zero": zero_evaluator,
     }
     if name not in factories:
@@ -144,7 +151,7 @@ def cmd_wordlen(args) -> int:
     from .groups import HeisElem
     from .lengths import HeisWordOracle
 
-    oracle = HeisWordOracle(max_radius=args.oracle_radius)
+    oracle = HeisWordOracle(max_radius=args.oracle_radius, budget=_budget())
     result = oracle.word_length(HeisElem(args.x, args.y, args.z))
     _emit({"command": "wordlen", "element": [args.x, args.y, args.z],
            "length": result.value, "path": result.path})
@@ -159,7 +166,7 @@ def cmd_stable(args) -> int:
         g = parse_heis(args.element)
     except ValueError as exc:
         raise _ParseExit(str(exc))
-    est = stable_length_estimate(_evaluator(args.length), g, args.k_max)
+    est = stable_length_estimate(_evaluator(args.length, _budget()), g, args.k_max)
     _emit({
         "command": "stable",
         "element": [g.x, g.y, g.z],
@@ -179,7 +186,7 @@ def cmd_axioms(args) -> int:
 
     if args.tolerance is not None and not (math.isfinite(args.tolerance) and args.tolerance >= 0):
         raise _ParseExit(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
-    report = check_axioms(_evaluator(args.length), sample_budget=args.samples,
+    report = check_axioms(_evaluator(args.length, _budget()), sample_budget=args.samples,
                           tolerance=args.tolerance, seed=args.seed)
     _emit({"command": "axioms", "length": args.length,
            "report": report.to_json_dict(), "all_passed": report.all_passed})
@@ -190,6 +197,8 @@ def cmd_ball(args) -> int:
     from .groups import HeisenbergGroup, SdpContext, SdpGroup, bfs_ball
 
     if args.group == "heis":
+        if args.matrix is not None:
+            raise _ParseExit("--matrix applies to --group sdp only")
         group = HeisenbergGroup()
     elif args.group == "sdp":
         if args.matrix is None:

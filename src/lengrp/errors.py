@@ -1,7 +1,8 @@
-"""Shared exception types, the default search budget, and the integer
-check of the exact types' constructors."""
+"""Shared exception types, the default search budget, the integer check
+of the exact types' constructors, and the base of the package's value
+classes."""
 
-from operator import index
+from operator import attrgetter, index
 
 # states a Cayley-graph search may store; groups re-exports it
 DEFAULT_STATE_BUDGET = 2_000_000
@@ -56,3 +57,50 @@ def _int_tuple(values) -> tuple[int, ...]:
     if not _INT.issuperset(map(type, values)):
         values = tuple(map(_as_int, values))
     return values
+
+
+class _Record:
+    """Base of a value class whose ``__slots__`` name its fields, in
+    constructor order: what ``dataclass`` would generate, without loading
+    ``dataclasses``.  Instances of one class are equal when their fields
+    are, and the repr is ``Name(field=value, ...)``.  A record is
+    unhashable, as a mutable dataclass with ``eq`` is."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            get = attrgetter(*cls.__slots__)
+            # the field values as a tuple; attrgetter of one name returns the value
+            cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable record: hashed by its field values, and assigning or
+    deleting an attribute raises AttributeError, so ``__init__`` sets the
+    fields with ``object.__setattr__``.  Pickling and copying rebuild an
+    instance through ``__init__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values

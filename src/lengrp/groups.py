@@ -11,7 +11,6 @@ target outside the radius asked for.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional
@@ -21,7 +20,9 @@ from .errors import (
     PreconditionError,
     ResourceExhausted,
     _as_int,
+    _Frozen,
     _int_tuple,
+    _Record,
 )
 
 if TYPE_CHECKING:
@@ -34,19 +35,18 @@ _HASH_BITS = sys.hash_info.modulus.bit_length()  # ints hash modulo 2^61 - 1
 # -- Heisenberg ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HeisElem:
+class HeisElem(_Frozen):
     """Heisenberg element; product law (x1,y1,z1)(x2,y2,z2) =
     (x1+x2, y1+y2, z1+z2+x1*y2)."""
 
-    x: int
-    y: int
-    z: int
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self):
-        if not type(self.x) is type(self.y) is type(self.z) is int:
-            for name in ("x", "y", "z"):
-                object.__setattr__(self, name, _as_int(getattr(self, name)))
+    def __init__(self, x: int, y: int, z: int):
+        if not type(x) is type(y) is type(z) is int:
+            x, y, z = _as_int(x), _as_int(y), _as_int(z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
     @classmethod
     def identity(cls) -> "HeisElem":
@@ -137,20 +137,17 @@ class SdpContext:
         return hash(self.matrix)
 
 
-@dataclass(frozen=True)
-class SdpElem:
+class SdpElem(_Frozen):
     """Element (v, t) with law (v1,t1)(v2,t2) = (v1 + A^t1 v2, t1+t2)."""
 
-    v: tuple[int, ...]
-    t: int
-    ctx: SdpContext
+    __slots__ = ("v", "t", "ctx")
 
-    def __post_init__(self):
-        if len(self.v) != self.ctx.n:
+    def __init__(self, v: tuple[int, ...], t: int, ctx: SdpContext):
+        if len(v) != ctx.n:
             raise PreconditionError("lattice part has wrong dimension")
-        object.__setattr__(self, "v", _int_tuple(self.v))
-        if type(self.t) is not int:
-            object.__setattr__(self, "t", _as_int(self.t))
+        object.__setattr__(self, "v", _int_tuple(v))
+        object.__setattr__(self, "t", t if type(t) is int else _as_int(t))
+        object.__setattr__(self, "ctx", ctx)
 
     def _check(self, other: "SdpElem") -> None:
         if self.ctx != other.ctx:
@@ -214,12 +211,9 @@ class HeisenbergGroup:
     def extent(self, r: int, coords: Optional[tuple] = None) -> int:
         return 0
 
-    def neighbors(self, k: Key) -> Iterator[Key]:
+    def neighbors(self, k: Key) -> tuple:
         x, y, z = k
-        yield (x + 1, y, z)
-        yield (x - 1, y, z)
-        yield (x, y + 1, z + x)
-        yield (x, y - 1, z - x)
+        return (x + 1, y, z), (x - 1, y, z), (x, y + 1, z + x), (x, y - 1, z - x)
 
     def elem_of(self, k: Key) -> HeisElem:
         return HeisElem(*k)
@@ -356,17 +350,20 @@ class SdpGroup:
         return (pack((g * elem_of(h)).key) for h in sphere)
 
 
-@dataclass
-class BallTable:
+class BallTable(_Record):
     """Exact word lengths for the ball of a given radius, keyed by the keys
     of ``group``, the adapter the ball was packed with (for SDP a wider
     copy of the searched one once the ball outgrew its width); look-ups
     take coordinate tuples."""
 
-    radius: int
-    lengths: Dict[Key, int]
-    sphere_sizes: list[int]
-    group: object
+    __slots__ = ("radius", "lengths", "sphere_sizes", "group")
+
+    def __init__(self, radius: int, lengths: Dict[Key, int], sphere_sizes: list[int],
+                 group: object):
+        self.radius = radius
+        self.lengths = lengths
+        self.sphere_sizes = sphere_sizes
+        self.group = group
 
     def word_length(self, coords: tuple) -> Optional[int]:
         return self.lengths.get(self.group.pack(coords))

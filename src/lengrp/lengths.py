@@ -7,23 +7,24 @@ length function, and a property-based checker for the three length-function
 axioms (homogeneity along powers, conjugation invariance, subadditivity on
 commuting pairs).  ``mpmath``, ``matrices`` and ``polynomials`` are
 imported by the eigenline helpers that use them, not with the module, so
-word lengths never load them and "none" dossiers never load mpmath.
+word lengths never load them and "none" dossiers never load mpmath;
+``fractions`` is imported by the functions that make ratios.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isfinite, isqrt
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
+    DEFAULT_STATE_BUDGET,
     LengrpError,
     NumericalDegeneracyError,
     OracleExhausted,
     PreconditionError,
     ResourceExhausted,
+    _Record,
 )
 from .groups import (
     HEIS_A,
@@ -35,10 +36,12 @@ from .groups import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .matrices import IntMatrix
     from .polynomials import IntPolynomial, UnitRoot
 
-Value = Union[int, Fraction, float]
+    Value = Union[int, Fraction, float]  # a type for annotations only
 
 HEIS_GENERATORS = (HEIS_A, HEIS_A.inverse(), HEIS_B, HEIS_B.inverse())
 
@@ -60,25 +63,21 @@ def ceil_two_sqrt(n: int) -> int:
     return m
 
 
-def _symmetry_orbit(x: int, y: int, z: int) -> set[tuple[int, int, int]]:
-    # d(x,y,z) = d(-x,y,-z) = d(x,-y,-z) = d(y,x,z): signed permutations of
-    # (x, y), with z times the product of the signs
-    return {img for sx in (1, -1) for sy in (1, -1)
-            for img in ((sx * x, sy * y, sx * sy * z), (sy * y, sx * x, sx * sy * z))}
-
-
 def normalize_heis_coords(x: int, y: int, z: int) -> tuple[int, int, int]:
-    """A symmetry-equivalent representative with z >= 0, x >= 0, x >= y >= -x."""
-    candidates = [
-        (cx, cy, cz)
-        for cx, cy, cz in _symmetry_orbit(x, y, z)
-        if cz >= 0 and cx >= 0 and cx >= cy >= -cx
-    ]
-    if not candidates:
-        raise AssertionError("symmetry orbit always contains a normalized triple")
-    # when z = 0 both (x, y, 0) and (x, -y, 0) normalize; prefer y >= 0,
-    # where the closed-form cases live
-    return max(candidates, key=lambda c: (c[1], c))
+    """A symmetry-equivalent representative with z >= 0, x >= 0, x >= y >= -x.
+
+    d(x,y,z) = d(-x,y,-z) = d(x,-y,-z) = d(y,x,z): the orbit is the signed
+    permutations of (x, y), with z times the product of the signs.  So the
+    representative's x is the larger of |x|, |y|, and its y is the other
+    coordinate, with the sign that makes z >= 0: unchanged if the larger
+    coordinate and z have the same sign (ties |x| = |y| give the same y
+    either way).  When z = 0 both signs normalize; y >= 0 is preferred,
+    where the closed-form cases live.
+    """
+    big, other = (x, y) if abs(x) >= abs(y) else (y, x)
+    if z == 0:
+        return abs(big), abs(other), 0
+    return abs(big), other if (big > 0) == (z > 0) else -other, abs(z)
 
 
 def blachere_word_length(x: int, y: int, z: int) -> Optional[int]:
@@ -130,12 +129,13 @@ class HeisWordOracle:
     (never beyond radius ceil(max_radius/2)), and kept for the oracle's
     life, so a query whose element is already in it is one look-up.  An
     element with |x| + |y| > max_radius raises OracleExhausted before the
-    ball grows.
+    ball grows; a query that needs a ball of more than ``budget`` states
+    raises ResourceExhausted.
     """
 
-    def __init__(self, *, max_radius: int = 40):
+    def __init__(self, *, max_radius: int = 40, budget: int = DEFAULT_STATE_BUDGET):
         self.max_radius = max_radius
-        self._ball = SharedBall(HeisenbergGroup(), max_radius)
+        self._ball = SharedBall(HeisenbergGroup(), max_radius, budget)
 
     def word_length(self, g: HeisElem) -> WordLengthResult:
         closed = blachere_word_length(g.x, g.y, g.z)
@@ -163,8 +163,7 @@ def heis_word_length(x: int, y: int, z: int) -> WordLengthResult:
 # -- evaluators ----------------------------------------------------------
 
 
-@dataclass
-class LengthEvaluator:
+class LengthEvaluator(_Record):
     """A deterministic nonnegative evaluator on a fixed domain.
 
     ``domain`` is "heisenberg" (HeisElem arguments) or "lattice" (integer
@@ -172,11 +171,15 @@ class LengthEvaluator:
     the subadditive limit along powers.
     """
 
-    name: str
-    domain: str
-    func: Callable[..., Value]
-    exact: bool
-    stable_limit: Optional[Callable[..., Value]] = None
+    __slots__ = ("name", "domain", "func", "exact", "stable_limit")
+
+    def __init__(self, name: str, domain: str, func: Callable[..., Value], exact: bool,
+                 stable_limit: Optional[Callable[..., Value]] = None):
+        self.name = name
+        self.domain = domain
+        self.func = func
+        self.exact = exact
+        self.stable_limit = stable_limit
 
     def evaluate(self, g) -> Value:
         return self.func(g)
@@ -224,13 +227,14 @@ def zero_evaluator() -> LengthEvaluator:
     )
 
 
-def word_length_evaluator(closed_form_only: bool = False) -> LengthEvaluator:
+def word_length_evaluator(closed_form_only: bool = False,
+                          budget: int = DEFAULT_STATE_BUDGET) -> LengthEvaluator:
     """Raw word metric d_S.  Not a length function: homogeneity fails.
 
     With ``closed_form_only`` the evaluator raises CoverageGap instead of
-    consulting the oracle's ball.
+    consulting the oracle's ball, which holds at most ``budget`` states.
     """
-    oracle = HeisWordOracle()
+    oracle = HeisWordOracle(budget=budget)
 
     def func(g: HeisElem) -> int:
         if closed_form_only:
@@ -252,22 +256,33 @@ def word_length_evaluator(closed_form_only: bool = False) -> LengthEvaluator:
 # -- stable length estimation --------------------------------------------
 
 
-@dataclass
-class StableLengthEstimate:
+class StableLengthEstimate(_Record):
     """Samples of L(g^k)/k with the Fekete running infimum.
 
     The infimum over sampled k upper-bounds the true stable length; the
     declared limit is filled in only when a closed form is known and every
-    requested power was sampled.
+    requested power was sampled.  ``skipped`` and
+    ``subadditivity_violations`` default to new empty lists.
     """
 
-    element: object
-    samples: list[tuple[int, Value, Value]]  # (k, L(g^k), ratio)
-    running_infimum: list[Value]
-    skipped: list[int] = field(default_factory=list)
-    partial: bool = False
-    declared_limit: Optional[Value] = None
-    subadditivity_violations: list[tuple[int, int]] = field(default_factory=list)
+    __slots__ = ("element", "samples", "running_infimum", "skipped", "partial",
+                 "declared_limit", "subadditivity_violations")
+
+    def __init__(self, element: object,
+                 samples: list[tuple[int, Value, Value]],  # (k, L(g^k), ratio)
+                 running_infimum: list[Value],
+                 skipped: Optional[list[int]] = None,
+                 partial: bool = False,
+                 declared_limit: Optional[Value] = None,
+                 subadditivity_violations: Optional[list[tuple[int, int]]] = None):
+        self.element = element
+        self.samples = samples
+        self.running_infimum = running_infimum
+        self.skipped = [] if skipped is None else skipped
+        self.partial = partial
+        self.declared_limit = declared_limit
+        self.subadditivity_violations = ([] if subadditivity_violations is None
+                                         else subadditivity_violations)
 
     @property
     def infimum(self) -> Optional[Value]:
@@ -281,6 +296,8 @@ def stable_length_estimate(length: LengthEvaluator, g, k_max: int) -> StableLeng
     violating pair is recorded.  Powers the evaluator cannot answer are
     skipped (closed-form gaps) or flag the estimate partial (oracle limits).
     """
+    from fractions import Fraction
+
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     samples: list[tuple[int, Value, Value]] = []
@@ -342,6 +359,8 @@ def extend_rational(length: LengthEvaluator, q: Sequence[Union[int, Fraction]]) 
     With d the least common multiple of the denominators, the value is
     L(d*q)/d; homogeneity over Q holds by construction.
     """
+    from fractions import Fraction
+
     if length.domain != "lattice":
         raise PreconditionError("rational extension needs a lattice evaluator")
     fracs = [Fraction(x) for x in q]
@@ -366,6 +385,8 @@ def sqrt_bound_witness(length: LengthEvaluator, max_n: int) -> tuple[Fraction, F
     L(c^n) <= |c^n|_S * max L(s), compared against K*sqrt(n) + C by exact
     rational square comparison.
     """
+    from fractions import Fraction
+
     max_gen = max(Fraction(length.evaluate(s)) for s in HEIS_GENERATORS)
     big_k = 4 * max_gen
     big_c = 2 * max_gen + 2
@@ -583,19 +604,28 @@ def _outward_ints(x, bits: int) -> tuple[int, int]:
 # -- axiom checking ------------------------------------------------------
 
 
-@dataclass
-class AxiomVerdict:
-    passed: bool
-    counterexample: Optional[dict] = None
+class AxiomVerdict(_Record):
+    __slots__ = ("passed", "counterexample")
+
+    def __init__(self, passed: bool, counterexample: Optional[dict] = None):
+        self.passed = passed
+        self.counterexample = counterexample
+
+    def to_json_dict(self) -> dict:
+        return {"passed": self.passed, "counterexample": self.counterexample}
 
 
-@dataclass
-class AxiomReport:
-    homogeneity: AxiomVerdict
-    conjugation_invariance: AxiomVerdict
-    commuting_subadditivity: AxiomVerdict
-    samples: int
-    tolerance: float
+class AxiomReport(_Record):
+    __slots__ = ("homogeneity", "conjugation_invariance", "commuting_subadditivity",
+                 "samples", "tolerance")
+
+    def __init__(self, homogeneity: AxiomVerdict, conjugation_invariance: AxiomVerdict,
+                 commuting_subadditivity: AxiomVerdict, samples: int, tolerance: float):
+        self.homogeneity = homogeneity
+        self.conjugation_invariance = conjugation_invariance
+        self.commuting_subadditivity = commuting_subadditivity
+        self.samples = samples
+        self.tolerance = tolerance
 
     @property
     def all_passed(self) -> bool:
@@ -603,7 +633,13 @@ class AxiomReport:
                 and self.commuting_subadditivity.passed)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "homogeneity": self.homogeneity.to_json_dict(),
+            "conjugation_invariance": self.conjugation_invariance.to_json_dict(),
+            "commuting_subadditivity": self.commuting_subadditivity.to_json_dict(),
+            "samples": self.samples,
+            "tolerance": self.tolerance,
+        }
 
 
 # Both samplers draw each axiom case with its composite element:
@@ -754,21 +790,28 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
 # -- stable norm domination ----------------------------------------------
 
 
-@dataclass
-class DominationRow:
-    element: tuple[int, int, int]
-    infimum: Optional[Value]
-    bound: Fraction
-    slack: Fraction
-    within: bool
+class DominationRow(_Record):
+    __slots__ = ("element", "infimum", "bound", "slack", "within")
+
+    def __init__(self, element: tuple[int, int, int], infimum: Optional[Value],
+                 bound: Fraction, slack: Fraction, within: bool):
+        self.element = element
+        self.infimum = infimum
+        self.bound = bound
+        self.slack = slack
+        self.within = within
 
 
-@dataclass
-class DominationReport:
-    precondition_ok: bool
-    precondition_counterexample: Optional[dict]
-    max_generator_value: Optional[Fraction]
-    rows: list[DominationRow]
+class DominationReport(_Record):
+    __slots__ = ("precondition_ok", "precondition_counterexample", "max_generator_value",
+                 "rows")
+
+    def __init__(self, precondition_ok: bool, precondition_counterexample: Optional[dict],
+                 max_generator_value: Optional[Fraction], rows: list[DominationRow]):
+        self.precondition_ok = precondition_ok
+        self.precondition_counterexample = precondition_counterexample
+        self.max_generator_value = max_generator_value
+        self.rows = rows
 
     @property
     def all_within(self) -> bool:
@@ -787,6 +830,8 @@ def stable_norm_domination_check(length: LengthEvaluator,
     truncation: it is K/k times a certified word-length bound on the
     central correction of the k-th power.
     """
+    from fractions import Fraction
+
     rng = random.Random(seed)
     sampler = _HeisSampler(rng, coord_range=4, central_range=4)
     for _ in range(500):

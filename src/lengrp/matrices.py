@@ -6,24 +6,22 @@ functions, not with the module, so matrix products alone never load it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .errors import PreconditionError, _int_tuple
+from .errors import PreconditionError, _Frozen, _int_tuple
 
 if TYPE_CHECKING:
     from .polynomials import IntPolynomial
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Frozen):
     """Square matrix over Z, stored as a tuple of row tuples."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        rows = tuple(map(_int_tuple, self.rows))
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(map(_int_tuple, rows))
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise PreconditionError("matrix must be square with n >= 1")

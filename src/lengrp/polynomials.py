@@ -8,14 +8,13 @@ over Q (Zassenhaus, in exact integer arithmetic).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import PreconditionError, _int_tuple
+from .errors import PreconditionError, _Frozen, _int_tuple
 
 Scalar = Union[int, Fraction]
 
@@ -27,18 +26,17 @@ def _content(coeffs: Sequence[int]) -> int:
     return c
 
 
-@dataclass(frozen=True, slots=True)
-class IntPolynomial:
+class IntPolynomial(_Frozen):
     """Polynomial over Z, coefficients constant term first.
 
     Canonical form: trailing zeros trimmed, integer content divided out,
     leading coefficient positive.  The zero polynomial is stored as ``(0,)``.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        cs = list(_int_tuple(self.coeffs))
+    def __init__(self, coeffs: tuple[int, ...]):
+        cs = list(_int_tuple(coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         if not cs:

@@ -7,10 +7,9 @@ with a unit-circle eigenvalue (positive stable word length).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Literal, Optional
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _Frozen
 from .matrices import IntMatrix, minimal_poly
 from .polynomials import (
     IntPolynomial,
@@ -24,26 +23,43 @@ from .polynomials import (
 TriState = Literal["yes", "no", "indeterminate"]
 
 
-@dataclass(frozen=True, slots=True)
-class SpectralReport:
+class SpectralReport(_Frozen):
     """Exact verdicts about a GL_n(Z) matrix viewed as a semidirect twist,
     and, outside the JSON, the minimal polynomial they were read from and
     the location ``unit_circle_root(minimal_poly)`` of a unit-circle
     eigenvalue (None without one), which a full dossier reuses."""
 
-    finite_order: Optional[int]
-    diagonalizable: bool
-    irreducible: bool
-    has_unit_circle_eigenvalue: bool
-    admits_discrete_purely_positive: bool
-    purely_positive_stable_word_length: TriState
-    vanishes_on_lattice: TriState
-    minimal_poly: IntPolynomial
-    unit_circle_root: Optional[UnitRoot]
+    __slots__ = ("finite_order", "diagonalizable", "irreducible",
+                 "has_unit_circle_eigenvalue", "admits_discrete_purely_positive",
+                 "purely_positive_stable_word_length", "vanishes_on_lattice",
+                 "minimal_poly", "unit_circle_root")
+
+    def __init__(self, finite_order: Optional[int], diagonalizable: bool, irreducible: bool,
+                 has_unit_circle_eigenvalue: bool, admits_discrete_purely_positive: bool,
+                 purely_positive_stable_word_length: TriState,
+                 vanishes_on_lattice: TriState, minimal_poly: IntPolynomial,
+                 unit_circle_root: Optional[UnitRoot]):
+        set_ = object.__setattr__
+        set_(self, "finite_order", finite_order)
+        set_(self, "diagonalizable", diagonalizable)
+        set_(self, "irreducible", irreducible)
+        set_(self, "has_unit_circle_eigenvalue", has_unit_circle_eigenvalue)
+        set_(self, "admits_discrete_purely_positive", admits_discrete_purely_positive)
+        set_(self, "purely_positive_stable_word_length", purely_positive_stable_word_length)
+        set_(self, "vanishes_on_lattice", vanishes_on_lattice)
+        set_(self, "minimal_poly", minimal_poly)
+        set_(self, "unit_circle_root", unit_circle_root)
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name not in ("minimal_poly", "unit_circle_root")}
+        return {
+            "finite_order": self.finite_order,
+            "diagonalizable": self.diagonalizable,
+            "irreducible": self.irreducible,
+            "has_unit_circle_eigenvalue": self.has_unit_circle_eigenvalue,
+            "admits_discrete_purely_positive": self.admits_discrete_purely_positive,
+            "purely_positive_stable_word_length": self.purely_positive_stable_word_length,
+            "vanishes_on_lattice": self.vanishes_on_lattice,
+        }
 
 
 def classify_sdp(a: IntMatrix) -> SpectralReport:

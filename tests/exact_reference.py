@@ -4,7 +4,8 @@ The library reads every spectral verdict off the minimal polynomial; the
 Faddeev-LeVerrier characteristic polynomial, diagonalizability, the
 torsion orders of GL_n(Z), the lattice stable word length and the
 eigenline's point values (lam, P) are the independent checks the tests
-compare it with.
+compare it with.  The Heisenberg symmetry representative is checked
+against the whole orbit.
 """
 from __future__ import annotations
 
@@ -131,3 +132,23 @@ def unit_eigen_projector(a: IntMatrix, dps: int):
     line = eigenline(a, dps)
     with mpmath.workprec(line.prec):
         return mpmath.mpmathify(_midpoint(line.lam)), line.projector()
+
+
+def symmetry_orbit(x: int, y: int, z: int) -> set[tuple[int, int, int]]:
+    """d(x,y,z) = d(-x,y,-z) = d(x,-y,-z) = d(y,x,z): signed permutations
+    of (x, y), with z times the product of the signs."""
+    return {img for sx in (1, -1) for sy in (1, -1)
+            for img in ((sx * x, sy * y, sx * sy * z), (sy * y, sx * x, sx * sy * z))}
+
+
+def normalize_heis_coords(x: int, y: int, z: int) -> tuple[int, int, int]:
+    """The orbit element with z >= 0, x >= 0, x >= y >= -x; when z = 0 both
+    (x, y, 0) and (x, -y, 0) qualify, and the one with y >= 0 is taken."""
+    candidates = [
+        (cx, cy, cz)
+        for cx, cy, cz in symmetry_orbit(x, y, z)
+        if cz >= 0 and cx >= 0 and cx >= cy >= -cx
+    ]
+    if not candidates:
+        raise AssertionError("symmetry orbit always contains a normalized triple")
+    return max(candidates, key=lambda c: (c[1], c))

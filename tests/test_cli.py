@@ -123,6 +123,13 @@ def test_ball_sdp(capsys):
     assert code == 1
 
 
+def test_ball_heis_rejects_a_matrix(capsys):
+    code, out, err = run(capsys, "ball", "--group", "heis", "--matrix", "[[2,1],[1,1]]",
+                         "--radius", "3")
+    assert code == 1 and out == ""
+    assert err == "lengrp: --matrix applies to --group sdp only\n"
+
+
 def test_ball_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("LENGRP_MEMORY_BUDGET", "50")
     code, _, err = run(capsys, "ball", "--group", "heis", "--radius", "8")
@@ -145,6 +152,24 @@ def test_huge_radius_stops_at_the_budget(capsys, monkeypatch):
     # excludes every length <= 6, and the word e_i^7 gives 7
     for entry in json.loads(out)["dossier"]["evidence"]["stable_length"].values():
         assert entry["ks"] == list(range(1, 8)) and entry["partial"]
+
+
+def test_heisenberg_commands_read_the_memory_budget(capsys, monkeypatch):
+    monkeypatch.setenv("LENGRP_MEMORY_BUDGET", "abc")
+    for argv in (["wordlen", "5", "3", "12"], ["stable", "1,1,0", "--length", "swl"],
+                 ["axioms", "--length", "swl", "--samples", "5"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "LENGRP_MEMORY_BUDGET" in err, argv
+    # the oracle ball holds 17 states at radius 2 and would need 53 at radius 3
+    monkeypatch.setenv("LENGRP_MEMORY_BUDGET", "50")
+    code, out, err = run(capsys, "wordlen", "3", "1", "5")
+    assert code == 3 and out == "" and "state budget 50 exceeded at radius 3" in err
+    code, out, _ = run(capsys, "stable", "3,1,5", "--k-max", "3")
+    payload = json.loads(out)
+    assert code == 0 and payload["partial"] and payload["skipped"] == [1, 2]
+    monkeypatch.delenv("LENGRP_MEMORY_BUDGET")
+    code, out, _ = run(capsys, "wordlen", "3", "1", "5")
+    assert code == 0 and json.loads(out)["length"] == 6
 
 
 def test_memory_budget_below_one_is_a_parse_error(capsys, monkeypatch):
@@ -251,30 +276,37 @@ def test_import_loads_no_submodule():
 
 
 HEISENBERG_LAYERS = {"cli", "errors", "groups", "lengths"}
+# dataclasses imports inspect (with ast, dis, tokenize); fractions imports decimal
+NO_DATACLASSES = {"dataclasses", "inspect"}
+NO_FRACTIONS = NO_DATACLASSES | {"fractions"}
 
 
-@pytest.mark.parametrize("argv, layers, golden", [
-    (["wordlen", "2", "1", "2"], HEISENBERG_LAYERS, "cli_wordlen.json"),
-    (["stable", "1,1,0", "--k-max", "5"], HEISENBERG_LAYERS, "cli_stable.json"),
+@pytest.mark.parametrize("argv, layers, unloaded, golden", [
+    (["wordlen", "2", "1", "2"], HEISENBERG_LAYERS, NO_FRACTIONS, "cli_wordlen.json"),
+    (["stable", "1,1,0", "--k-max", "5"], HEISENBERG_LAYERS, NO_DATACLASSES,
+     "cli_stable.json"),
     (["axioms", "--length", "swl", "--samples", "200", "--seed", "7"],
-     HEISENBERG_LAYERS, "cli_axioms.json"),
+     HEISENBERG_LAYERS, NO_FRACTIONS, "cli_axioms.json"),
     (["ball", "--group", "heis", "--radius", "4"], {"cli", "errors", "groups"},
-     "cli_ball_heis.json"),
+     NO_FRACTIONS, "cli_ball_heis.json"),
     (["ball", "--group", "sdp", "--matrix", "[[2,1],[1,1]]", "--radius", "3"],
-     {"cli", "errors", "groups", "matrices"}, "cli_ball_sdp.json"),
+     {"cli", "errors", "groups", "matrices"}, NO_DATACLASSES, "cli_ball_sdp.json"),
     (["classify", "--matrix", CONNER_ARG],
      {"cli", "errors", "matrices", "polynomials", "spectral", "classify"},
-     "cli_classify_none.json"),
+     NO_DATACLASSES, "cli_classify_none.json"),
 ], ids=["wordlen", "stable", "axioms", "ball-heis", "ball-sdp", "classify-none"])
-def test_each_command_loads_only_its_layers(argv, layers, golden):
+def test_each_command_loads_only_its_layers(argv, layers, unloaded, golden):
     """A command imports the layers it runs and no other: the Heisenberg
     commands never load the polynomial, matrix, spectral or classify code,
-    and a "none" classification never loads lengths."""
+    and a "none" classification never loads lengths.  No command loads
+    dataclasses, and the commands that make no rational never load
+    fractions."""
     code = ("import sys\n"
             "from lengrp.cli import main\n"
             f"code = main({argv!r})\n"
             "loaded = {m[len('lengrp.'):] for m in sys.modules if m.startswith('lengrp.')}\n"
-            f"assert code == 0 and loaded == {layers!r}, (code, sorted(loaded))\n")
+            f"assert code == 0 and loaded == {layers!r}, (code, sorted(loaded))\n"
+            f"assert not {unloaded!r} & set(sys.modules), sorted({unloaded!r} & set(sys.modules))\n")
     done = run_python(code)
     assert done.stdout == (GOLDEN / golden).read_text()
 

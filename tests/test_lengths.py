@@ -45,6 +45,7 @@ from lengrp.lengths import (
 from lengrp.matrices import IntMatrix, minimal_poly
 from lengrp.polynomials import unit_circle_root
 
+import exact_reference
 from exact_reference import (
     eigenline,
     lattice_swl_evaluator,
@@ -93,6 +94,15 @@ def test_normalize_heis_coords():
     # z = 0 orbits contain both sign choices for y; the y >= 0 one wins
     assert normalize_heis_coords(1, 1, 0) == (1, 1, 0)
     assert normalize_heis_coords(-1, 1, 0) == (1, 1, 0)
+
+
+def test_normalize_heis_coords_matches_the_orbit_reference():
+    # the box holds the ties |x| = |y|, x = 0, y = 0 and z = 0 in every sign
+    for x in range(-8, 9):
+        for y in range(-8, 9):
+            for z in range(-40, 41):
+                assert normalize_heis_coords(x, y, z) == \
+                    exact_reference.normalize_heis_coords(x, y, z), (x, y, z)
 
 
 def test_blachere_goldens():
