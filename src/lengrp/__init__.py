@@ -44,7 +44,6 @@ _EXPORTS = {
     "finite_order": "matrices",
     "half_trace_transform": "polynomials",
     "has_unit_circle_eigenvalue": "polynomials",
-    "heis_word_length": "lengths",
     "is_irreducible": "polynomials",
     "is_squarefree": "polynomials",
     "minimal_poly": "matrices",

@@ -149,26 +149,16 @@ class HeisWordOracle:
         return _result(value, "oracle")
 
 
-_DEFAULT_ORACLE: Optional[HeisWordOracle] = None
-
-
-def heis_word_length(x: int, y: int, z: int) -> WordLengthResult:
-    """Total exact word-length evaluator; records which path answered."""
-    global _DEFAULT_ORACLE
-    if _DEFAULT_ORACLE is None:
-        _DEFAULT_ORACLE = HeisWordOracle()
-    return _DEFAULT_ORACLE.word_length(HeisElem(x, y, z))
-
-
 # -- evaluators ----------------------------------------------------------
 
 
 class LengthEvaluator(_Record):
     """A deterministic nonnegative evaluator on a fixed domain.
 
-    ``domain`` is "heisenberg" (HeisElem arguments) or "lattice" (integer
-    vectors).  ``stable_limit``, when set, returns the known exact value of
-    the subadditive limit along powers.
+    ``domain`` is "heisenberg" (HeisElem arguments), "lattice" (integer
+    vectors) or "sdp" (SdpElem arguments; check_axioms and extend_rational
+    reject it).  ``stable_limit``, when set, returns the known exact value
+    of the subadditive limit along powers.
     """
 
     __slots__ = ("name", "domain", "func", "exact", "stable_limit")
@@ -726,10 +716,11 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
     Each sample draws one case for each axiom that has not failed yet, in
     the order homogeneity, conjugation invariance, commuting subadditivity,
     all from one generator seeded with ``seed``; so a seed fixes the report.
-    Cases the evaluator cannot answer (OracleExhausted, CoverageGap) are
-    skipped.  Exact evaluators are compared with exact equality, numeric
-    ones up to the tolerance, which must be a finite number >= 0.  A failed
-    verdict carries its first counterexample with both side values.
+    Cases the evaluator cannot answer (OracleExhausted, CoverageGap,
+    ResourceExhausted) are skipped, as stable_length_estimate skips them.
+    Exact evaluators are compared with exact equality, numeric ones up to
+    the tolerance, which must be a finite number >= 0.  A failed verdict
+    carries its first counterexample with both side values.
     """
     if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
         raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
@@ -775,7 +766,7 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
             first, second, composite = draw()
             try:
                 lhs, rhs = sides(first, second, composite)
-            except (OracleExhausted, CoverageGap):
+            except (OracleExhausted, CoverageGap, ResourceExhausted):
                 continue
             if fails(lhs, rhs):
                 # Heisenberg elements are reported by their coordinates
@@ -826,9 +817,11 @@ def stable_norm_domination_check(length: LengthEvaluator,
 
     Precondition: L must be a semi-norm (symmetric, subadditive on all
     pairs, commuting or not); this is spot-checked first and a violation
-    aborts the main check.  The slack term accounts for the finite-k
-    truncation: it is K/k times a certified word-length bound on the
-    central correction of the k-th power.
+    aborts the main check.  Spot checks the evaluator cannot answer
+    (OracleExhausted, CoverageGap, ResourceExhausted) are skipped, as
+    stable_length_estimate skips them.  The slack term accounts for the
+    finite-k truncation: it is K/k times a certified word-length bound on
+    the central correction of the k-th power.
     """
     from fractions import Fraction
 
@@ -844,7 +837,7 @@ def stable_norm_domination_check(length: LengthEvaluator,
                 }, None, [])
             lhs = length.evaluate(g * h)
             rhs = length.evaluate(g) + length.evaluate(h)
-        except (OracleExhausted, CoverageGap):
+        except (OracleExhausted, CoverageGap, ResourceExhausted):
             continue
         if lhs > rhs:
             return DominationReport(False, {

@@ -73,10 +73,7 @@ class IntPolynomial(_Frozen):
         return self.coeffs == tuple(reversed(self.coeffs))
 
     def __call__(self, x: Scalar) -> Scalar:
-        acc: Scalar = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _eval(self.coeffs, x)
 
     def derivative(self) -> "IntPolynomial":
         if self.degree < 1:
@@ -96,17 +93,40 @@ class IntPolynomial(_Frozen):
         return cls(tuple(int(c * denom) for c in cs))
 
 
-# -- rational-coefficient helpers (lists, constant term first) -----------
+# -- coefficient lists over Z or Q, constant term first ------------------
+
+
+def _trim(a: list) -> list:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
+    acc: Scalar = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _div(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
+    """The quotient a / b in Z[x], or None when b does not divide a there;
+    a and b trimmed, b nonzero."""
+    rest, lead, db = list(a), b[-1], len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        c = rest[shift + db]
+        if c:
+            coef = q[shift] = c // lead
+            if coef * lead != c:
+                return None
+            for i, bc in enumerate(b):
+                rest[shift + i] -= coef * bc
+    return None if any(rest[:db]) else q
 
 
 def _fp(p: IntPolynomial) -> list[Fraction]:
     return [Fraction(c) for c in p.coeffs]
-
-
-def _fp_trim(a: list[Fraction]) -> list[Fraction]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -114,19 +134,19 @@ def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], li
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
     q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while _fp_trim(a) and len(a) >= len(b):
+    while _trim(a) and len(a) >= len(b):
         shift = len(a) - len(b)
         coef = a[-1] / b[-1]
         q[shift] = coef
         for i, bc in enumerate(b):
             a[shift + i] -= coef * bc
-        _fp_trim(a)
-    return _fp_trim(q), a
+        _trim(a)
+    return _trim(q), a
 
 
 def _fp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     """Monic gcd over Q (constant 1 for coprime inputs)."""
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
         _, r = _fp_divmod(a, b)
         a, b = b, r
@@ -134,13 +154,6 @@ def _fp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         return []
     lead = a[-1]
     return [c / lead for c in a]
-
-
-def _fp_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # -- squarefree part, Sturm counting -------------------------------------
@@ -152,13 +165,15 @@ def is_squarefree(p: IntPolynomial) -> bool:
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'), primitive with positive leading coefficient."""
+    """p divided by gcd(p, p'), primitive with positive leading coefficient.
+
+    The gcd is taken over Q and made primitive; by Gauss's lemma it then
+    divides p in Z[x].
+    """
     if p.is_zero:
         raise PreconditionError("squarefree part of the zero polynomial")
-    g = _fp_gcd(_fp(p), _fp(p.derivative()))
-    q, r = _fp_divmod(_fp(p), g)
-    assert not r, "gcd must divide exactly"
-    return IntPolynomial.from_fractions(q)
+    g = IntPolynomial.from_fractions(_fp_gcd(_fp(p), _fp(p.derivative())))
+    return IntPolynomial(tuple(_div(p.coeffs, g.coeffs)))
 
 
 def _sturm_variations(q: IntPolynomial) -> Callable[[Fraction], int]:
@@ -173,7 +188,7 @@ def _sturm_variations(q: IntPolynomial) -> Callable[[Fraction], int]:
     def variations(x: Fraction) -> int:
         signs = []
         for poly in chain:
-            v = _fp_eval(poly, x)
+            v = _eval(poly, x)
             if v != 0:
                 signs.append(1 if v > 0 else -1)
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
@@ -335,19 +350,6 @@ def _totient(k: int) -> int:
     return phi
 
 
-def _divmod_monic(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by monic b over Z, constant term first."""
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for shift in range(len(q) - 1, -1, -1):
-        coef = a[shift + len(b) - 1]
-        if coef:
-            q[shift] = coef
-            for i, bc in enumerate(b):
-                a[shift + i] -= coef * bc
-    return q, _fp_trim(a[: len(b) - 1])
-
-
 @lru_cache(maxsize=None)
 def _cyclotomic_poly(k: int) -> tuple[int, ...]:
     """Coefficients of the k-th cyclotomic polynomial, constant term first:
@@ -355,7 +357,7 @@ def _cyclotomic_poly(k: int) -> tuple[int, ...]:
     num = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
         if k % d == 0:
-            num, _ = _divmod_monic(num, _cyclotomic_poly(d))
+            num = _div(num, _cyclotomic_poly(d))
     return tuple(num)
 
 
@@ -376,10 +378,10 @@ def cyclotomic_order(m: IntPolynomial) -> Optional[int]:
         if _totient(k) >= len(rest):
             continue
         phi = _cyclotomic_poly(k)
-        q, r = _divmod_monic(rest, phi)
-        if r:
+        q = _div(rest, phi)
+        if q is None:
             continue
-        if not _divmod_monic(q, phi)[1]:
+        if _div(q, phi) is not None:
             return None  # repeated factor
         rest, order = q, lcm(order, k)
     return order if rest == [1] else None
@@ -420,12 +422,6 @@ def _has_rational_root(p: IntPolynomial) -> bool:
 # a leading coefficient prime to q.
 
 
-def _mp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _mp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     if not a or not b:
         return []
@@ -434,13 +430,13 @@ def _mp_mul(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
-    return _mp_trim([c % m for c in out])
+    return _trim([c % m for c in out])
 
 
 def _mp_sub(a: Sequence[int], b: Sequence[int], m: int) -> list[int]:
     n = max(len(a), len(b))
-    return _mp_trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
-                     for i in range(n)])
+    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % m
+                  for i in range(n)])
 
 
 def _mp_divmod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], list[int]]:
@@ -453,7 +449,7 @@ def _mp_divmod(a: Sequence[int], b: Sequence[int], m: int) -> tuple[list[int], l
             q[shift] = coef
             for i, bc in enumerate(b):  # reduced once, at the end
                 a[shift + i] -= coef * bc
-    return _mp_trim(q), _mp_trim([c % m for c in a[:db]])
+    return _trim(q), _trim([c % m for c in a[:db]])
 
 
 def _mp_monic(a: Sequence[int], m: int) -> list[int]:
@@ -463,7 +459,7 @@ def _mp_monic(a: Sequence[int], m: int) -> list[int]:
 
 def _mp_gcd(a: Sequence[int], b: Sequence[int], q: int) -> list[int]:
     """Monic gcd over the field Z/q."""
-    a, b = _mp_trim([c % q for c in a]), _mp_trim([c % q for c in b])
+    a, b = _trim([c % q for c in a]), _trim([c % q for c in b])
     while b:
         a, b = b, _mp_divmod(a, b, q)[1]
     return _mp_monic(a, q) if a else a
@@ -516,7 +512,7 @@ def _equal_degree(g: list[int], d: int, q: int, rng: random.Random) -> list[list
     if len(g) - 1 == d:
         return [g]
     while True:
-        a = _mp_trim([rng.randrange(q) for _ in range(len(g) - 1)])
+        a = _trim([rng.randrange(q) for _ in range(len(g) - 1)])
         if len(a) < 2:
             continue
         b = _mp_gcd(g, _mp_sub(_mp_powmod(a, (q ** d - 1) // 2, g, q), [1], q), q)
@@ -546,28 +542,15 @@ def _hensel_lift(f: list[int], factors: list[list[int]], q: int, k: int) -> list
         # f - lead * A * B vanishes mod q^j; its next q-adic digit, over lead
         prod = _mp_mul(_mp_mul(big_a, big_b, mod * q), [f[-1]], mod * q)
         err = _mp_sub(f, prod, mod * q)
-        err = _mp_trim([(c // mod) * lead_inv % q for c in err])
+        err = _trim([(c // mod) * lead_inv % q for c in err])
         d_a = _mp_divmod(_mp_mul(t, err, q), a, q)[1]
         d_b = _mp_divmod(_mp_sub(err, _mp_mul(d_a, b, q), q), a, q)[0]
-        big_a = _mp_trim([c + mod * (d_a[i] if i < len(d_a) else 0)
-                          for i, c in enumerate(big_a)])
-        big_b = _mp_trim([c + mod * (d_b[i] if i < len(d_b) else 0)
-                          for i, c in enumerate(big_b)])
+        big_a = _trim([c + mod * (d_a[i] if i < len(d_a) else 0)
+                       for i, c in enumerate(big_a)])
+        big_b = _trim([c + mod * (d_b[i] if i < len(d_b) else 0)
+                       for i, c in enumerate(big_b)])
         mod *= q
     return _hensel_lift(big_a, factors[:half], q, k) + _hensel_lift(big_b, factors[half:], q, k)
-
-
-def _int_divides(g: Sequence[int], f: Sequence[int]) -> bool:
-    """True iff the integer polynomial g divides f in Z[x]."""
-    rest = list(f)
-    for shift in range(len(f) - len(g), -1, -1):
-        coef, r = divmod(rest[shift + len(g) - 1], g[-1])
-        if r:
-            return False
-        if coef:
-            for i, gc in enumerate(g):
-                rest[shift + i] -= coef * gc
-    return not any(rest)
 
 
 def _odd_primes() -> Iterable[int]:
@@ -608,7 +591,7 @@ def is_irreducible(p: IntPolynomial) -> bool:
         if f[-1] % q == 0:
             continue
         fq = _mp_monic([c % q for c in f], q)
-        deriv = _mp_trim([k * c % q for k, c in enumerate(fq)][1:])
+        deriv = _trim([k * c % q for k, c in enumerate(fq)][1:])
         if len(_mp_gcd(fq, deriv, q)) > 1:
             # a repeated factor over Q repeats modulo every q: rule it out once
             if not good and not squarefree_checked:
@@ -649,6 +632,6 @@ def is_irreducible(p: IntPolynomial) -> bool:
             g = [c - mod if 2 * c > mod else c for c in g]
             cont = _content(g)
             g = [c // cont for c in g]
-            if g[0] and f[0] % g[0] == 0 and _int_divides(g, f):
+            if g[0] and f[0] % g[0] == 0 and _div(f, g) is not None:
                 return False
     return True

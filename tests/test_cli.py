@@ -167,6 +167,9 @@ def test_heisenberg_commands_read_the_memory_budget(capsys, monkeypatch):
     code, out, _ = run(capsys, "stable", "3,1,5", "--k-max", "3")
     payload = json.loads(out)
     assert code == 0 and payload["partial"] and payload["skipped"] == [1, 2]
+    # axiom cases past the budget are skipped, as stable skips such powers
+    code, out, _ = run(capsys, "axioms", "--length", "wordlen", "--samples", "100")
+    assert code == 0 and json.loads(out)["report"]["samples"] == 100
     monkeypatch.delenv("LENGRP_MEMORY_BUDGET")
     code, out, _ = run(capsys, "wordlen", "3", "1", "5")
     assert code == 0 and json.loads(out)["length"] == 6

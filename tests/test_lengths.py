@@ -15,6 +15,7 @@ from lengrp.errors import (
     NumericalDegeneracyError,
     OracleExhausted,
     PreconditionError,
+    ResourceExhausted,
 )
 from lengrp.groups import HeisElem, HeisenbergGroup, SdpContext, SdpElem, bfs_ball
 from lengrp.lengths import (
@@ -29,7 +30,6 @@ from lengrp.lengths import (
     central_power_word_length,
     check_axioms,
     extend_rational,
-    heis_word_length,
     normalize_heis_coords,
     quadratic_evaluator,
     quadratic_length,
@@ -135,9 +135,10 @@ def test_blachere_agrees_with_bfs():
 
 
 def test_heis_word_length_paths():
-    assert heis_word_length(0, 0, 16) == (16, "formula")
-    assert heis_word_length(0, 0, 0) == (0, "formula")
-    assert heis_word_length(2, 1, 2) == (3, "oracle")
+    oracle = HeisWordOracle()
+    assert oracle.word_length(HeisElem(0, 0, 16)) == (16, "formula")
+    assert oracle.word_length(HeisElem(0, 0, 0)) == (0, "formula")
+    assert oracle.word_length(HeisElem(2, 1, 2)) == (3, "oracle")
     oracle = HeisWordOracle(max_radius=6)
     with pytest.raises(OracleExhausted):
         oracle.word_length(HeisElem(5, 0, 17))
@@ -257,8 +258,9 @@ def test_check_axioms_word_length_fails_homogeneity():
     cx = report.homogeneity.counterexample
     assert cx is not None and "g" in cx and "n" in cx
     # the canonical witness: d(c) = 4 but d(c^2) = 6
-    assert heis_word_length(0, 0, 1).value == 4
-    assert heis_word_length(0, 0, 2).value == 6
+    oracle = HeisWordOracle()
+    assert oracle.word_length(HeisElem(0, 0, 1)).value == 4
+    assert oracle.word_length(HeisElem(0, 0, 2)).value == 6
     # subadditivity on commuting pairs still holds for the word metric
     assert report.commuting_subadditivity.passed
 
@@ -353,8 +355,9 @@ def test_sqrt_bound_witness():
     assert (k, c, ok) == (4, 4, True)
     k, c, ok = sqrt_bound_witness(zero_evaluator(), 100)
     assert (k, c, ok) == (0, 2, True)
+    oracle = HeisWordOracle()
     doubled = LengthEvaluator(
-        "2d", "heisenberg", lambda g: 2 * heis_word_length(g.x, g.y, g.z).value, True)
+        "2d", "heisenberg", lambda g: 2 * oracle.word_length(g).value, True)
     k, c, ok = sqrt_bound_witness(doubled, 1000)
     assert (k, c, ok) == (8, 6, True)
 
@@ -679,6 +682,30 @@ def test_check_axioms_skips_cases_the_evaluator_cannot_answer():
     assert gaps
     assert report.to_json_dict() == pinned_report(
         homogeneity_cx((0, 0, -3), -2, 10, 16), conjugation_cx((-1, 0, 3), (-1, 2, 1), 9, 7))
+
+
+def test_budget_overruns_are_skipped_like_coverage_gaps():
+    # at budget 50 the oracle's ball stops at radius 2, so the word length
+    # of many sampled elements raises ResourceExhausted
+    small = word_length_evaluator(budget=50)
+    overruns = []
+
+    def as_gap(g):
+        try:
+            return small.evaluate(g)
+        except ResourceExhausted:
+            overruns.append(g)
+            raise CoverageGap(f"budget overrun at {g}")
+
+    gapped = LengthEvaluator("gapped", "heisenberg", as_gap, True)
+    assert check_axioms(small, 100) == check_axioms(gapped, 100)
+    assert overruns
+    del overruns[:]
+    samples = [HeisElem(1, 1, 0), HeisElem(2, 1, 3)]
+    report = stable_norm_domination_check(small, samples)
+    assert report.precondition_ok and report.all_within
+    assert report == stable_norm_domination_check(gapped, samples)
+    assert overruns
 
 
 def test_check_axioms_rejects_unsupported_domain():

@@ -4,12 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lengrp.errors import PreconditionError
 from lengrp.polynomials import (
     IntPolynomial,
+    _div,
+    _trim,
     cyclotomic_order,
     half_trace_transform,
     has_unit_circle_eigenvalue,
@@ -32,15 +34,19 @@ def cyclotomic(n):
     return IntPolynomial(tuple(int(c) for c in reversed(coeffs)))
 
 
+def list_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
 def pmul(*polys):
-    out = (1,)
+    out = [1]
     for p in polys:
-        prod = [0] * (len(out) + len(p.coeffs) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(p.coeffs):
-                prod[i + j] += a * b
-        out = tuple(prod)
-    return IntPolynomial(out)
+        out = list_mul(out, p.coeffs)
+    return IntPolynomial(tuple(out))
 
 
 def test_canonical_form():
@@ -89,6 +95,49 @@ def test_squarefree_part():
     assert squarefree_part(IntPolynomial((-1, 0, 1))) == IntPolynomial((-1, 0, 1))
     with pytest.raises(PreconditionError):
         squarefree_part(IntPolynomial((0,)))
+
+
+@pytest.mark.parametrize("expr", [
+    "(2*x + 1)**2 * (x - 3)",
+    "-(3*x - 2)**3 * (2*x + 5)**2 * (x**2 + 1)",
+    "6 * (5*x**2 - 2)**2 * (4*x + 3)",
+])
+def test_squarefree_part_of_non_monic_input_matches_sympy(expr):
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.sympify(expr), x)
+    p = IntPolynomial(tuple(int(c) for c in reversed(poly.all_coeffs())))
+    expected = sympy.sqf_part(poly).all_coeffs()
+    assert squarefree_part(p) == IntPolynomial(tuple(int(c) for c in reversed(expected)))
+
+
+def sympy_quotient(a, b):
+    """The quotient a / b in Z[x] from sympy's division over Q, or None."""
+    x = sympy.Symbol("x")
+    q, r = sympy.div(sympy.Poly(list(reversed(a)) or [0], x), sympy.Poly(list(reversed(b)), x))
+    if not r.is_zero or not all(c.is_integer for c in q.all_coeffs()):
+        return None
+    return _trim([int(c) for c in reversed(q.all_coeffs())])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-5, 5), max_size=4), st.sampled_from([1, -1, 2, -3, 6]),
+       st.lists(st.integers(-5, 5), max_size=5), st.sampled_from([1, -2, 3]),
+       st.sampled_from([1, 2, 3]), st.one_of(st.just([]), st.lists(st.integers(-5, 5))))
+@example([1], 1, [2, 0], 1, 1, [])  # monic divisor, exact
+@example([1], 2, [1, 1], 3, 1, [])  # non-monic divisor, exact
+@example([-1, 0], 1, [0, 0], 1, 1, [1])  # monic divisor, nonzero remainder
+@example([1], 2, [1], 1, 2, [])  # divides over Q, quotient not integral
+def test_div_matches_sympy(b_low, b_lead, q_low, q_lead, scale, r):
+    """b = scale * b0 and a = b0 * q + r, so inexact pairs come both from
+    remainders and from quotients that are rational but not integral."""
+    b0, q = b_low + [b_lead], q_low + [q_lead]
+    b = [scale * c for c in b0]
+    a = list_mul(b0, q)
+    a = _trim([c + (r[i] if i < len(r) else 0) for i, c in enumerate(a)] + r[len(a):])
+    expected = sympy_quotient(a, b)
+    assert _div(a, b) == expected
+    if expected is not None:
+        assert _trim(list_mul(b, expected)) == a
 
 
 def test_sturm_count():
