@@ -48,7 +48,6 @@ _EXPORTS = {
     "is_squarefree": "polynomials",
     "minimal_poly": "matrices",
     "parse_heis": "groups",
-    "parse_sdp": "groups",
     "quadratic_evaluator": "lengths",
     "quadratic_length": "lengths",
     "self_reciprocal_part": "polynomials",

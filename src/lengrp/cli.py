@@ -12,7 +12,9 @@ groups and lengths for its evidence levels.  No layer imports
 ``dataclasses``, and ``fractions`` is loaded only by the code that makes
 rationals, so wordlen, axioms and the Heisenberg ball never load it.
 Every command that searches a Cayley graph (wordlen, stable, axioms,
-ball, classify) bounds its states by LENGRP_MEMORY_BUDGET.
+ball, classify) bounds its states by LENGRP_MEMORY_BUDGET.  ball counts
+every state of the ball, but holds only its last two spheres unless
+--out asks for every row.
 """
 from __future__ import annotations
 
@@ -194,7 +196,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    from .groups import HeisenbergGroup, SdpContext, SdpGroup, bfs_ball
+    from .groups import HeisenbergGroup, SdpContext, SdpGroup, _bfs, bfs_ball
 
     if args.group == "heis":
         if args.matrix is not None:
@@ -208,11 +210,14 @@ def cmd_ball(args) -> int:
         raise _ParseExit(f"unknown group {args.group!r}")
     if args.out and not _writable(args.out):
         raise PreconditionError(f"cannot write CSV output to {args.out!r}")
-    table = bfs_ball(group, args.radius, budget=_budget())
-    if args.out:
+    if args.out:  # the CSV needs every row
+        table = bfs_ball(group, args.radius, budget=_budget())
         table.to_csv(args.out)
+        sizes = table.sphere_sizes
+    else:
+        sizes = _bfs(group, args.radius, _budget(), whole=False)[1]
     _emit({"command": "ball", "group": args.group, "out": args.out,
-           **table.summary()})
+           "radius": args.radius, "sphere_sizes": sizes, "ball_size": sum(sizes)})
     return EXIT_OK
 
 

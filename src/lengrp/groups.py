@@ -3,10 +3,11 @@
 Two families: the discrete Heisenberg group in upper-triangular coordinates
 (x, y, z), and semidirect products Z^n x|_A Z with twist A in GL_n(Z).
 Word lengths over the standard symmetric generating sets come from exact
-breadth-first search: a ball, and a shared ball that answers many targets
-by translation.  The shared ball stops early on bounds that need no
-search: the length of an explicit word above, and coordinates that place a
-target outside the radius asked for.
+breadth-first search: a ball (or its sphere sizes, from its last two
+spheres), and a shared ball that answers many targets by translation.
+The shared ball stops early on bounds that need no search: the length of
+an explicit word above, and coordinates that place a target outside the
+radius asked for.
 """
 from __future__ import annotations
 
@@ -182,15 +183,6 @@ class SdpElem(_Frozen):
     @property
     def key(self) -> Key:
         return (*self.v, self.t)
-
-
-def parse_sdp(text: str, ctx: SdpContext) -> SdpElem:
-    try:
-        vec, t = text.split(";")
-        v = tuple(int(p.strip()) for p in vec.split(","))
-        return SdpElem(v, int(t.strip()), ctx)
-    except ValueError as exc:
-        raise ValueError(f"expected 'v1,...,vn;t', got {text!r}") from exc
 
 
 # -- Cayley-graph search -------------------------------------------------
@@ -428,6 +420,29 @@ def _check_radius(radius: int, name: str) -> None:
         raise PreconditionError(f"{name} must be nonnegative")
 
 
+def _bfs(group, radius: int, budget: int, whole: bool) -> tuple:
+    """The level loop of ``bfs_ball``: (dist, sphere_sizes, group) of the
+    ball of the given radius.  Unless ``whole``, dist keeps only the last
+    two spheres: a neighbour of sphere r lies in sphere r - 1, r or r + 1,
+    so sphere r - 2 is deleted once sphere r is grown.  The budget still
+    counts the deleted states, so it overruns where the whole ball would."""
+    _check_radius(radius, "radius")
+    dist: Dict[Key, int] = {group.identity_key: 0}
+    sphere_sizes = [1]
+    frontier = [group.identity_key]
+    dropped = 0  # states deleted from dist
+    for r in range(1, radius + 1):
+        group = _refit(group, group.extent(r), [dist], [frontier])
+        frontier = _grow(group, frontier, dist, r, budget - dropped, r - 1,
+                         f"state budget {budget} exceeded at radius {r}")
+        sphere_sizes.append(len(frontier))
+        if not whole and r > 1:
+            for k in list(islice(dist, sphere_sizes[r - 2])):
+                del dist[k]
+            dropped += sphere_sizes[r - 2]
+    return dist, sphere_sizes, group
+
+
 def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTable:
     """Exact word length for every element within the given radius.
 
@@ -435,16 +450,7 @@ def bfs_ball(group, radius: int, budget: int = DEFAULT_STATE_BUDGET) -> BallTabl
     traversal order.  Raises ResourceExhausted (with the radius completed so
     far) if more than ``budget`` states would be stored.
     """
-    _check_radius(radius, "radius")
-    dist: Dict[Key, int] = {group.identity_key: 0}
-    sphere_sizes = [1]
-    frontier = [group.identity_key]
-    for r in range(1, radius + 1):
-        group = _refit(group, group.extent(r), [dist], [frontier])
-        frontier = _grow(group, frontier, dist, r, budget, r - 1,
-                         f"state budget {budget} exceeded at radius {r}")
-        sphere_sizes.append(len(frontier))
-    return BallTable(radius, dist, sphere_sizes, group)
+    return BallTable(radius, *_bfs(group, radius, budget, whole=True))
 
 
 class SharedBall:

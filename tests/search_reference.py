@@ -2,7 +2,8 @@
 
 The library answers word lengths from one shared ball (``SharedBall``);
 this search is the independent check it is compared with, and the home of
-the budget and far-target behaviour that tests pin.
+the budget and far-target behaviour that tests pin.  ``parse_sdp`` reads
+an element of Z^n x|_A Z from text; nothing in the library needs it.
 """
 from __future__ import annotations
 
@@ -10,12 +11,24 @@ from typing import Optional
 
 from lengrp.groups import (
     DEFAULT_STATE_BUDGET,
+    SdpContext,
+    SdpElem,
     SdpGroup,
     _check_radius,
     _grow,
     _refit,
 )
 from lengrp.matrices import IntMatrix
+
+
+def parse_sdp(text: str, ctx: SdpContext) -> SdpElem:
+    """The element (v, t) written 'v1,...,vn;t'."""
+    try:
+        vec, t = text.split(";")
+        v = tuple(int(p.strip()) for p in vec.split(","))
+        return SdpElem(v, int(t.strip()), ctx)
+    except ValueError as exc:
+        raise ValueError(f"expected 'v1,...,vn;t', got {text!r}") from exc
 
 
 def outside(group: SdpGroup, coords: tuple, r: int, budget: int) -> bool:

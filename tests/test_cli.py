@@ -220,6 +220,37 @@ def test_axioms_rejects_negative_tolerance(capsys):
     assert code == 1 and out == ""
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (["--radius", "22"], "cli_ball_heis_r22.json"),
+    (["--group", "sdp", "--matrix", "[[2,1],[1,1]]", "--radius", "10"], "cli_ball_sdp_r10.json"),
+], ids=["heis", "sdp"])
+def test_ball_golden(capsys, argv, golden):
+    assert run(capsys, "ball", *argv) == (0, (GOLDEN / golden).read_text(), "")
+
+
+def test_ball_csv_golden(capsys, tmp_path):
+    out_path = tmp_path / "ball.csv"
+    code, out, err = run(capsys, "ball", "--radius", "4", "--out", str(out_path))
+    expected = (GOLDEN / "cli_ball_heis.json").read_text().replace(
+        '"out": null', f'"out": {json.dumps(str(out_path))}')
+    assert (code, out, err) == (0, expected, "")
+    assert out_path.read_bytes() == (GOLDEN / "ball_heis_r4.csv").read_bytes()
+
+
+def test_ball_overruns_the_budget_with_and_without_out(capsys, monkeypatch, tmp_path):
+    # --out keeps the whole ball and the sphere sizes alone keep two
+    # spheres; the budget counts every state of the ball either way
+    out_path = str(tmp_path / "ball.csv")
+    for budget in (32, 33, 34, 52, 53, 54, 102, 103, 104, 134, 135, 136):
+        monkeypatch.setenv("LENGRP_MEMORY_BUDGET", str(budget))
+        for argv in (["--radius", "4"], ["--group", "sdp", "--matrix", "[[2,1],[1,1]]",
+                                         "--radius", "3"]):
+            code, out, err = run(capsys, "ball", *argv, "--out", out_path)
+            assert (code == 0) == (out != "") and (code == 3) == ("state budget" in err)
+            out = out.replace(json.dumps(out_path), "null")
+            assert run(capsys, "ball", *argv) == (code, out, err)
+
+
 def test_ball_unwritable_output(capsys, tmp_path):
     missing = tmp_path / "no-such-dir" / "x.csv"
     code, out, err = run(capsys, "ball", "--radius", "40", "--out", str(missing))

@@ -2,10 +2,10 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lengrp.errors import PreconditionError, ResourceExhausted
+from lengrp.errors import DEFAULT_STATE_BUDGET, PreconditionError, ResourceExhausted
 from lengrp.groups import (
     HEIS_A,
     HEIS_B,
@@ -16,13 +16,13 @@ from lengrp.groups import (
     SdpElem,
     SdpGroup,
     SharedBall,
+    _bfs,
     bfs_ball,
     parse_heis,
-    parse_sdp,
 )
 from lengrp.matrices import IntMatrix
 
-from search_reference import bfs_word_length, outside
+from search_reference import bfs_word_length, outside, parse_sdp
 from test_matrices import PROPERTY_SETTINGS, Seven, elementary_products
 
 
@@ -505,3 +505,75 @@ def test_sdp_context_powers_invert_once(monkeypatch):
     for t in random.Random(13).sample(range(-9, 10), 19) + [-12, 12, -3, 11]:
         assert ctx.power(t) == expected[t]
     assert len(inversions) == 1
+
+
+def two_spheres(group, radius, budget=DEFAULT_STATE_BUDGET):
+    """The sphere-count path of ``lengrp ball``: (dist, sphere_sizes, group)."""
+    return _bfs(group, radius, budget, whole=False)
+
+
+def last_two_spheres(table):
+    """The coordinates and lengths of the table's last two spheres."""
+    return {table.group.unpack(k): d for k, d in table.lengths.items()
+            if d >= table.radius - 1}
+
+
+def test_two_spheres_match_the_heis_ball():
+    for radius in range(15):
+        dist, sizes, group = two_spheres(HeisenbergGroup(), radius)
+        table = bfs_ball(HeisenbergGroup(), radius)
+        assert sizes == table.sphere_sizes
+        assert {group.unpack(k): d for k, d in dist.items()} == last_two_spheres(table)
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(sdp_contexts, st.integers(4, 5))
+@example(SdpContext(IntMatrix.from_rows([[10 ** 7, 1], [-1, 0]])), 4)  # keys pass 64 bits
+def test_two_spheres_match_the_sdp_ball_property(ctx, radius):
+    # extent(4) >= 4 exceeds the starting bound 3: each draw widens its keys
+    start = SdpGroup(ctx)
+    dist, sizes, group = two_spheres(start, radius)
+    table = bfs_ball(start, radius)
+    assert group.bound == table.group.bound > start.bound
+    assert sizes == table.sphere_sizes
+    assert {group.unpack(k): d for k, d in dist.items()} == last_two_spheres(table)
+
+
+def outcome(sizes):
+    """sizes(), or the type, message and completed radius of its overrun."""
+    try:
+        return sizes()
+    except ResourceExhausted as exc:
+        return type(exc), str(exc), exc.completed_radius
+
+
+@pytest.mark.parametrize("group", [HeisenbergGroup(), SdpGroup(HYP_CTX)], ids=["heis", "sdp"])
+def test_two_spheres_overrun_the_budget_where_the_ball_does(group):
+    # the budget counts the states deleted from the two spheres' dict
+    sizes = bfs_ball(group, 6).sphere_sizes
+    for r in range(7):
+        ball_size = sum(sizes[:r + 1])
+        for budget in (ball_size - 1, ball_size, ball_size + 1):
+            whole = outcome(lambda: bfs_ball(group, 6, budget).sphere_sizes)
+            assert outcome(lambda: two_spheres(group, 6, budget)[1]) == whole
+            if r == 6:
+                assert whole == (sizes if budget >= ball_size else (
+                    ResourceExhausted, f"state budget {budget} exceeded at radius 6", 5))
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_spheres_take_less_than_half_the_ball_memory():
+    # both peak at the end of the last level: the ball holds 99,689 states,
+    # the two spheres' dict 44,236 (spheres 20, 21 and 22).  At radius 16
+    # that is 15,710 of 27,910 states, and the peak ratio is 0.55
+    two = traced_peak(lambda: two_spheres(HeisenbergGroup(), 22))
+    whole = traced_peak(lambda: bfs_ball(HeisenbergGroup(), 22))
+    assert two < whole / 2
