@@ -45,10 +45,6 @@ class Verdict(_Frozen):
 
     __slots__ = ("claim", "lemma")
 
-    def __init__(self, claim: str, lemma: Optional[str]):
-        object.__setattr__(self, "claim", claim)
-        object.__setattr__(self, "lemma", lemma)
-
     def to_json_dict(self) -> dict:
         return {"claim": self.claim, "lemma": self.lemma}
 
@@ -57,13 +53,7 @@ class ClassificationDossier(_Record):
     """``evidence`` defaults to a new empty dict."""
 
     __slots__ = ("matrix", "report", "verdicts", "evidence")
-
-    def __init__(self, matrix: IntMatrix, report: SpectralReport, verdicts: list[Verdict],
-                 evidence: Optional[dict] = None):
-        self.matrix = matrix
-        self.report = report
-        self.verdicts = verdicts
-        self.evidence = {} if evidence is None else evidence
+    _defaults = {"evidence": dict}
 
     def to_json_dict(self) -> dict:
         """The dossier as JSON types; the evidence's tuples are written as

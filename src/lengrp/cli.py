@@ -54,22 +54,19 @@ class _Parser(argparse.ArgumentParser):
         raise _ParseExit(message)
 
 
-def _jsonable(obj):
+def _fraction_text(obj) -> str:
+    """json's fallback: a Fraction as "p/q"; any other type is an error."""
     # no Fraction exists unless fractions is loaded, and word lengths never load it
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(obj, fractions.Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _emit(payload: dict) -> None:
     payload = dict(payload)
     payload["schema"] = SCHEMA
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=2))
+    print(json.dumps(payload, sort_keys=True, indent=2, default=_fraction_text))
 
 
 def _read_source(arg: str) -> str:
@@ -212,7 +209,11 @@ def cmd_ball(args) -> int:
         raise PreconditionError(f"cannot write CSV output to {args.out!r}")
     if args.out:  # the CSV needs every row
         table = bfs_ball(group, args.radius, budget=_budget())
-        table.to_csv(args.out)
+        try:
+            table.to_csv(args.out)
+        except OSError as exc:
+            raise PreconditionError(
+                f"cannot write CSV output to {args.out!r}: {exc.strerror or exc}")
         sizes = table.sphere_sizes
     else:
         sizes = _bfs(group, args.radius, _budget(), whole=False)[1]

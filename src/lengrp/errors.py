@@ -62,11 +62,16 @@ def _int_tuple(values) -> tuple[int, ...]:
 class _Record:
     """Base of a value class whose ``__slots__`` name its fields, in
     constructor order: what ``dataclass`` would generate, without loading
-    ``dataclasses``.  Instances of one class are equal when their fields
-    are, and the repr is ``Name(field=value, ...)``.  A record is
-    unhashable, as a mutable dataclass with ``eq`` is."""
+    ``dataclasses``.  The constructor binds positional values in slot
+    order and keywords by name; a field left out takes its value from the
+    class's ``_defaults`` dict, of field name to default, where ``list``
+    or ``dict`` stands for a new empty container per instance.  Instances
+    of one class are equal when their fields are, and the repr is
+    ``Name(field=value, ...)``.  A record is unhashable, as a mutable
+    dataclass with ``eq`` is."""
 
     __slots__ = ()
+    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -74,6 +79,26 @@ class _Record:
             get = attrgetter(*cls.__slots__)
             # the field values as a tuple; attrgetter of one name returns the value
             cls._values = property(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        names, qualname = self.__slots__, type(self).__qualname__
+        if len(args) > len(names):
+            raise TypeError(f"{qualname}() takes {len(names)} fields but {len(args)} were given")
+        set_ = object.__setattr__  # _Frozen refuses setattr
+        for field, value in zip(names, args):
+            set_(self, field, value)
+        for field in names[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in self._defaults:
+                value = self._defaults[field]
+                value = value() if value is list or value is dict else value
+            else:
+                raise TypeError(f"{qualname}() missing field {field!r}")
+            set_(self, field, value)
+        for field in kwargs:  # left over: not a field, or a field given twice
+            problem = "multiple values for" if field in names else "an unexpected"
+            raise TypeError(f"{qualname}() got {problem} field {field!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -87,9 +112,9 @@ class _Record:
 
 class _Frozen(_Record):
     """An immutable record: hashed by its field values, and assigning or
-    deleting an attribute raises AttributeError, so ``__init__`` sets the
-    fields with ``object.__setattr__``.  Pickling and copying rebuild an
-    instance through ``__init__``."""
+    deleting an attribute raises AttributeError, so an ``__init__`` of its
+    own sets the fields with ``object.__setattr__``.  Pickling and copying
+    rebuild an instance through ``__init__``."""
 
     __slots__ = ()
 

@@ -350,13 +350,6 @@ class BallTable(_Record):
 
     __slots__ = ("radius", "lengths", "sphere_sizes", "group")
 
-    def __init__(self, radius: int, lengths: Dict[Key, int], sphere_sizes: list[int],
-                 group: object):
-        self.radius = radius
-        self.lengths = lengths
-        self.sphere_sizes = sphere_sizes
-        self.group = group
-
     def word_length(self, coords: tuple) -> Optional[int]:
         return self.lengths.get(self.group.pack(coords))
 

@@ -162,14 +162,7 @@ class LengthEvaluator(_Record):
     """
 
     __slots__ = ("name", "domain", "func", "exact", "stable_limit")
-
-    def __init__(self, name: str, domain: str, func: Callable[..., Value], exact: bool,
-                 stable_limit: Optional[Callable[..., Value]] = None):
-        self.name = name
-        self.domain = domain
-        self.func = func
-        self.exact = exact
-        self.stable_limit = stable_limit
+    _defaults = {"stable_limit": None}
 
     def evaluate(self, g) -> Value:
         return self.func(g)
@@ -249,30 +242,17 @@ def word_length_evaluator(closed_form_only: bool = False,
 class StableLengthEstimate(_Record):
     """Samples of L(g^k)/k with the Fekete running infimum.
 
-    The infimum over sampled k upper-bounds the true stable length; the
-    declared limit is filled in only when a closed form is known and every
-    requested power was sampled.  ``skipped`` and
-    ``subadditivity_violations`` default to new empty lists.
+    Each sample is a tuple (k, L(g^k), ratio).  The infimum over sampled
+    k upper-bounds the true stable length; the declared limit is filled in
+    only when a closed form is known and every requested power was
+    sampled.  ``skipped`` and ``subadditivity_violations`` default to new
+    empty lists.
     """
 
     __slots__ = ("element", "samples", "running_infimum", "skipped", "partial",
                  "declared_limit", "subadditivity_violations")
-
-    def __init__(self, element: object,
-                 samples: list[tuple[int, Value, Value]],  # (k, L(g^k), ratio)
-                 running_infimum: list[Value],
-                 skipped: Optional[list[int]] = None,
-                 partial: bool = False,
-                 declared_limit: Optional[Value] = None,
-                 subadditivity_violations: Optional[list[tuple[int, int]]] = None):
-        self.element = element
-        self.samples = samples
-        self.running_infimum = running_infimum
-        self.skipped = [] if skipped is None else skipped
-        self.partial = partial
-        self.declared_limit = declared_limit
-        self.subadditivity_violations = ([] if subadditivity_violations is None
-                                         else subadditivity_violations)
+    _defaults = {"skipped": list, "partial": False, "declared_limit": None,
+                 "subadditivity_violations": list}
 
     @property
     def infimum(self) -> Optional[Value]:
@@ -596,10 +576,7 @@ def _outward_ints(x, bits: int) -> tuple[int, int]:
 
 class AxiomVerdict(_Record):
     __slots__ = ("passed", "counterexample")
-
-    def __init__(self, passed: bool, counterexample: Optional[dict] = None):
-        self.passed = passed
-        self.counterexample = counterexample
+    _defaults = {"counterexample": None}
 
     def to_json_dict(self) -> dict:
         return {"passed": self.passed, "counterexample": self.counterexample}
@@ -608,14 +585,6 @@ class AxiomVerdict(_Record):
 class AxiomReport(_Record):
     __slots__ = ("homogeneity", "conjugation_invariance", "commuting_subadditivity",
                  "samples", "tolerance")
-
-    def __init__(self, homogeneity: AxiomVerdict, conjugation_invariance: AxiomVerdict,
-                 commuting_subadditivity: AxiomVerdict, samples: int, tolerance: float):
-        self.homogeneity = homogeneity
-        self.conjugation_invariance = conjugation_invariance
-        self.commuting_subadditivity = commuting_subadditivity
-        self.samples = samples
-        self.tolerance = tolerance
 
     @property
     def all_passed(self) -> bool:
@@ -782,27 +751,16 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
 
 
 class DominationRow(_Record):
-    __slots__ = ("element", "infimum", "bound", "slack", "within")
+    """A sampled element (x, y, z) and the infimum of its stable-length
+    estimate: a Value, or None when no power was sampled.  ``within``
+    says whether it is at most ``bound`` = K*(|x|+|y|) plus ``slack``."""
 
-    def __init__(self, element: tuple[int, int, int], infimum: Optional[Value],
-                 bound: Fraction, slack: Fraction, within: bool):
-        self.element = element
-        self.infimum = infimum
-        self.bound = bound
-        self.slack = slack
-        self.within = within
+    __slots__ = ("element", "infimum", "bound", "slack", "within")
 
 
 class DominationReport(_Record):
     __slots__ = ("precondition_ok", "precondition_counterexample", "max_generator_value",
                  "rows")
-
-    def __init__(self, precondition_ok: bool, precondition_counterexample: Optional[dict],
-                 max_generator_value: Optional[Fraction], rows: list[DominationRow]):
-        self.precondition_ok = precondition_ok
-        self.precondition_counterexample = precondition_counterexample
-        self.max_generator_value = max_generator_value
-        self.rows = rows
 
     @property
     def all_within(self) -> bool:

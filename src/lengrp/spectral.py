@@ -7,18 +7,11 @@ with a unit-circle eigenvalue (positive stable word length).
 """
 from __future__ import annotations
 
-from typing import Literal, Optional
+from typing import Literal
 
 from .errors import PreconditionError, _Frozen
 from .matrices import IntMatrix, minimal_poly
-from .polynomials import (
-    IntPolynomial,
-    UnitRoot,
-    cyclotomic_order,
-    is_irreducible,
-    is_squarefree,
-    unit_circle_root,
-)
+from .polynomials import cyclotomic_order, is_irreducible, is_squarefree, unit_circle_root
 
 TriState = Literal["yes", "no", "indeterminate"]
 
@@ -27,28 +20,14 @@ class SpectralReport(_Frozen):
     """Exact verdicts about a GL_n(Z) matrix viewed as a semidirect twist,
     and, outside the JSON, the minimal polynomial they were read from and
     the location ``unit_circle_root(minimal_poly)`` of a unit-circle
-    eigenvalue (None without one), which a full dossier reuses."""
+    eigenvalue (None without one), which a full dossier reuses.
+    ``purely_positive_stable_word_length`` and ``vanishes_on_lattice`` are
+    TriState values: "yes", "no" or "indeterminate"."""
 
     __slots__ = ("finite_order", "diagonalizable", "irreducible",
                  "has_unit_circle_eigenvalue", "admits_discrete_purely_positive",
                  "purely_positive_stable_word_length", "vanishes_on_lattice",
                  "minimal_poly", "unit_circle_root")
-
-    def __init__(self, finite_order: Optional[int], diagonalizable: bool, irreducible: bool,
-                 has_unit_circle_eigenvalue: bool, admits_discrete_purely_positive: bool,
-                 purely_positive_stable_word_length: TriState,
-                 vanishes_on_lattice: TriState, minimal_poly: IntPolynomial,
-                 unit_circle_root: Optional[UnitRoot]):
-        set_ = object.__setattr__
-        set_(self, "finite_order", finite_order)
-        set_(self, "diagonalizable", diagonalizable)
-        set_(self, "irreducible", irreducible)
-        set_(self, "has_unit_circle_eigenvalue", has_unit_circle_eigenvalue)
-        set_(self, "admits_discrete_purely_positive", admits_discrete_purely_positive)
-        set_(self, "purely_positive_stable_word_length", purely_positive_stable_word_length)
-        set_(self, "vanishes_on_lattice", vanishes_on_lattice)
-        set_(self, "minimal_poly", minimal_poly)
-        set_(self, "unit_circle_root", unit_circle_root)
 
     def to_json_dict(self) -> dict:
         return {

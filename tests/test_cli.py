@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from lengrp.cli import main
+from lengrp.groups import BallTable
 
 CONNER_ARG = "[[0,0,0,-1],[1,0,0,2],[0,1,0,-1],[0,0,1,2]]"
 GOLDEN = Path(__file__).parent / "golden"
@@ -251,12 +253,23 @@ def test_ball_overruns_the_budget_with_and_without_out(capsys, monkeypatch, tmp_
             assert run(capsys, "ball", *argv) == (code, out, err)
 
 
-def test_ball_unwritable_output(capsys, tmp_path):
+def test_ball_unwritable_output(capsys, monkeypatch, tmp_path):
     missing = tmp_path / "no-such-dir" / "x.csv"
     code, out, err = run(capsys, "ball", "--radius", "40", "--out", str(missing))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not missing.parent.exists()
+
+    # the write itself fails after the search: one message line, exit 2
+    def full_disk(self, path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(BallTable, "to_csv", full_disk)
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "ball", "--radius", "3", "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == (f"lengrp: precondition failed: cannot write CSV output to {str(out_path)!r}: "
+                   "No space left on device\n")
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -1,4 +1,5 @@
 """The value classes behave as the dataclasses of the same fields would:
+a constructor that takes each field once, by position or by name,
 equality field by field within one class, the hash of the field tuple for
 the immutable ones and none for the mutable ones, ``Name(field=value)``
 reprs, and AttributeError on assignment to an immutable one."""
@@ -94,6 +95,15 @@ def test_value_class_keeps_its_dataclass_behaviour(cls, fields, text):
     assert repr(obj) == text
     assert not hasattr(obj, "__dict__")  # slots: no instance dict
     first = next(iter(fields))
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*values, None)  # one value too many
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(**fields, no_such_field=None)
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*values, **{first: values[0]})  # by position and by name
+    for name in fields.keys() - cls._defaults.keys():
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls(**{k: v for k, v in fields.items() if k != name})
     if cls in FROZEN:
         assert hash(obj) == hash(cls(*values)) == hash(values)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{first}'"):
