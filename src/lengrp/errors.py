@@ -38,16 +38,16 @@ class NumericalDegeneracyError(LengrpError):
     """A numeric eigenline computation hit a (near-)defective eigenvalue."""
 
 
-def _as_int(x) -> int:
+def _as_int(x, what: str = "an integer") -> int:
     """x as an int: what ``operator.index`` takes, except bool.  Anything
-    else (a float, a str, a Fraction) raises PreconditionError instead of
-    being truncated or parsed."""
+    else (a float, a str, a Fraction) raises PreconditionError, expecting
+    ``what``, instead of being truncated or parsed."""
     if not isinstance(x, bool):
         try:
             return index(x)
         except TypeError:
             pass
-    raise PreconditionError(f"expected an integer, got {x!r}")
+    raise PreconditionError(f"expected {what}, got {x!r}")
 
 
 def _int_tuple(values) -> tuple[int, ...]:

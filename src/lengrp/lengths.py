@@ -24,6 +24,7 @@ from .errors import (
     OracleExhausted,
     PreconditionError,
     ResourceExhausted,
+    _as_int,
     _Record,
 )
 from .groups import (
@@ -323,6 +324,13 @@ def stable_length_estimate(length: LengthEvaluator, g, k_max: int) -> StableLeng
     )
 
 
+def _rationals(q: Sequence) -> list[Union[int, Fraction]]:
+    """Lattice coordinates q, each a Fraction or an integer as errors._as_int takes it."""
+    from fractions import Fraction
+
+    return [x if isinstance(x, Fraction) else _as_int(x, "an integer or a Fraction") for x in q]
+
+
 def extend_rational(length: LengthEvaluator, q: Sequence[Union[int, Fraction]]) -> Value:
     """Evaluate a lattice length function at a rational point.
 
@@ -333,7 +341,7 @@ def extend_rational(length: LengthEvaluator, q: Sequence[Union[int, Fraction]]) 
 
     if length.domain != "lattice":
         raise PreconditionError("rational extension needs a lattice evaluator")
-    fracs = [Fraction(x) for x in q]
+    fracs = _rationals(q)
     d = 1
     for x in fracs:
         d = d * x.denominator // gcd(d, x.denominator)
@@ -396,6 +404,7 @@ class _Eigenline:
 
         from .polynomials import _dyadic_brackets
 
+        dps = _as_int(dps, "dps to be an integer")
         if dps < 1:
             raise PreconditionError(f"dps must be >= 1, got {dps}")
         if root is None:
@@ -473,7 +482,7 @@ def _eigenline_seminorm(line: _Eigenline) -> LengthEvaluator:
         if len(v) != n:
             raise PreconditionError("dimension mismatch")
         with mpmath.workdps(dps):
-            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in v])
+            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in _rationals(v)])
             return float(mpmath.norm(proj * col) / op_norm)
 
     return LengthEvaluator(
@@ -675,13 +684,12 @@ class _LatticeSampler:
 
 def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
                  tolerance: Optional[float] = None, seed: int = 0, *,
-                 lattice_dim: Optional[int] = None,
                  twist: Optional[IntMatrix] = None) -> AxiomReport:
     """Property-check the three length-function axioms on random samples.
 
     Heisenberg evaluators are sampled on small elements, lattice evaluators
-    on Z^lattice_dim with ``twist`` (default the identity) as conjugation;
-    lattice_dim defaults to the twist's size, else 2, and must match it.
+    on Z^n with ``twist`` as conjugation, n its size; without a twist, on
+    Z^2 with the identity.
     Each sample draws one case for each axiom that has not failed yet, in
     the order homogeneity, conjugation invariance, commuting subadditivity,
     all from one generator seeded with ``seed``; so a seed fixes the report.
@@ -695,16 +703,11 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
         raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
     if sample_budget < 1:
         raise PreconditionError(f"sample_budget must be >= 1, got {sample_budget}")
-    if lattice_dim is None:
-        lattice_dim = 2 if twist is None else twist.n
-    elif twist is not None and lattice_dim != twist.n:
-        raise PreconditionError(f"lattice_dim {lattice_dim} does not match the "
-                                f"{twist.n}x{twist.n} twist")
     rng = random.Random(seed)
     if length.domain == "heisenberg":
         sampler = _HeisSampler(rng)
     elif length.domain == "lattice":
-        sampler = _LatticeSampler(rng, lattice_dim, twist)
+        sampler = _LatticeSampler(rng, 2 if twist is None else twist.n, twist)
     else:
         raise PreconditionError(f"no sampler for domain {length.domain!r}")
     tol = tolerance if tolerance is not None else (0.0 if length.exact else 1e-9)

@@ -390,33 +390,6 @@ def cyclotomic_order(m: IntPolynomial) -> Optional[int]:
 # -- irreducibility over Q -----------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _has_rational_root(p: IntPolynomial) -> bool:
-    c0, lead = p.constant_term, p.leading
-    if c0 == 0:
-        return True
-    for r in _divisors(c0):
-        for s in _divisors(lead):
-            if gcd(r, s) != 1:
-                continue
-            for cand in (Fraction(r, s), Fraction(-r, s)):
-                if p(cand) == 0:
-                    return True
-    return False
-
-
 # Polynomials over Z/m as int lists, constant term first, trimmed (zero is
 # []); m is a prime q or a prime power q^k, and every divisor is monic or has
 # a leading coefficient prime to q.
@@ -568,22 +541,24 @@ _DEGREE_PRIMES = 5
 def is_irreducible(p: IntPolynomial) -> bool:
     """Irreducibility of p over Q (equivalently over Z, p being primitive).
 
-    Zassenhaus: the degrees of the factors modulo a few primes q (not
-    dividing the leading coefficient, p squarefree mod q) bound the degrees a
-    rational factor can have; when that leaves none strictly between 0 and
-    deg p, p is irreducible.  Otherwise the factors modulo the prime with the
-    fewest are lifted to q^k beyond twice the Mignotte bound, and every
-    product of at most half of them is tried as an exact divisor.
+    p is reducible if x divides it or p(1) or p(-1) is 0; of degree 2 or 3
+    with end coefficients +-1 it is irreducible, +-1 being its only rational
+    root candidates.  No divisors are searched.  Every other p goes to
+    Zassenhaus, which finds linear factors too: the factor degrees modulo a
+    few primes q (q not dividing lc(p), p squarefree mod q) bound those of
+    a rational factor; if none is left strictly between 0 and deg p, p is
+    irreducible.  Else the factors modulo the prime with the fewest are
+    lifted to q^k beyond twice the Mignotte bound, and every product of at
+    most half of them is tried as an exact divisor.
     """
     if p.degree < 1:
         raise PreconditionError("constant polynomial")
     if p.degree == 1:
         return True
-    if _has_rational_root(p):
+    if p.constant_term == 0 or p(1) == 0 or p(-1) == 0:
         return False
-    if p.degree <= 3:
-        # any factorization of a degree-2/3 polynomial has a linear factor
-        return True
+    if p.degree <= 3 and abs(p.constant_term) == p.leading == 1:
+        return True  # a factorization in degree 2 or 3 has a linear factor
     f, n = list(p.coeffs), p.degree
     allowed = (1 << (n + 1)) - 1  # bit d set: a factor of degree d is possible
     best, good, squarefree_checked = None, 0, False

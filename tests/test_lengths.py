@@ -267,19 +267,22 @@ def test_check_axioms_word_length_fails_homogeneity():
 
 def test_check_axioms_lattice_seminorm_invariance():
     sem = unit_eigen_seminorm(CONNER)
-    report = check_axioms(sem, sample_budget=100, seed=3, lattice_dim=4,
-                          twist=CONNER, tolerance=1e-9)
+    report = check_axioms(sem, sample_budget=100, seed=3, twist=CONNER, tolerance=1e-9)
     assert report.conjugation_invariance.passed, report.conjugation_invariance
     assert report.homogeneity.passed
     assert report.commuting_subadditivity.passed
 
 
 def test_check_axioms_lattice_dim_defaults_to_twist():
-    sem = unit_eigen_seminorm(CONNER)
-    assert check_axioms(sem, 50, seed=3, twist=CONNER).to_json_dict() \
-        == check_axioms(sem, 50, seed=3, lattice_dim=4, twist=CONNER).to_json_dict()
-    with pytest.raises(PreconditionError, match="lattice_dim 2 .* 4x4 twist"):
-        check_axioms(sem, 50, seed=3, lattice_dim=2, twist=CONNER)
+    # a 4x4 twist draws from Z^4, no twist from Z^2
+    dims = set()
+    l1 = LengthEvaluator(name="l1", domain="lattice", exact=True,
+                         func=lambda v: dims.add(len(v)) or sum(map(abs, v)))
+    check_axioms(l1, 50, seed=3, twist=CONNER)
+    assert dims == {4}
+    dims.clear()
+    check_axioms(l1, 50, seed=3)
+    assert dims == {2}
 
 
 def test_stable_length_estimate_exact_case():
@@ -339,6 +342,19 @@ def test_extend_rational():
     assert extend_rational(L, [Fraction(1, 2), Fraction(1, 3)]) == Fraction(5, 6)
     with pytest.raises(PreconditionError):
         extend_rational(swl_evaluator(), [1, 2])
+
+
+@pytest.mark.parametrize("apply", [LengthEvaluator.evaluate, extend_rational],
+                         ids=["seminorm", "extend_rational"])
+def test_lattice_coordinates_are_integers_or_fractions(apply):
+    # what operator.index takes, bool aside, or a Fraction; nothing is parsed or rounded
+    sem = unit_eigen_seminorm(IntMatrix(((0, -1), (1, 0))))
+    value = apply(sem, (1, 0))
+    assert apply(sem, (np.int64(1), 0)) == apply(sem, (Fraction(2, 2), 0)) == value
+    assert apply(sem, (Fraction(1, 2), 0)) == pytest.approx(value / 2)
+    for bad in (True, 0.5, 1.0, "1", "1/3"):
+        with pytest.raises(PreconditionError, match="integer or a Fraction"):
+            apply(sem, (bad, 0))
 
 
 def test_extend_rational_homogeneity():
@@ -415,7 +431,7 @@ def test_unit_eigen_seminorm_needs_no_root_finder(monkeypatch):
 
 
 def test_unit_eigen_seminorm_rejects_bad_dps():
-    for bad in (0, -3):
+    for bad in (0, -3, True, 1.5):
         with pytest.raises(PreconditionError, match="dps"):
             unit_eigen_seminorm(CONNER, dps=bad)
         with pytest.raises(PreconditionError, match="dps"):
@@ -659,8 +675,7 @@ def test_check_axioms_reports_pinned(seed):
         assert check_axioms(factory(), 1000, seed=seed).to_json_dict() == pinned_report()
     assert check_axioms(word_length_evaluator(), 1000, seed=seed).to_json_dict() \
         == PINNED_WORDLEN[seed]
-    conner = check_axioms(unit_eigen_seminorm(CONNER), 1000, seed=seed, lattice_dim=4,
-                          twist=CONNER)
+    conner = check_axioms(unit_eigen_seminorm(CONNER), 1000, seed=seed, twist=CONNER)
     assert conner.to_json_dict() == pinned_report(tolerance=1e-9)
     # the l1 norm is not invariant under the hyperbolic twist
     twisted = check_axioms(lattice_swl_evaluator(), 1000, seed=seed, twist=HYPERBOLIC)

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lengrp import polynomials
 from lengrp.errors import PreconditionError
 from lengrp.polynomials import (
     IntPolynomial,
@@ -323,8 +324,25 @@ IRREDUCIBLE_SETTINGS = settings(max_examples=150, derandomize=True, database=Non
 
 @IRREDUCIBLE_SETTINGS
 @given(int_polys(1, 12))
+@example(IntPolynomial((10 ** 40 + 3, 0, 0, 0, 1)))  # a divisor search would not end
+@example(IntPolynomial((1, 5, 6)))  # (2x + 1)(3x + 1)
+@example(IntPolynomial((1, 2, 3, 6)))  # (2x + 1)(3x^2 + 1)
+@example(IntPolynomial((0, 2, 0, 1)))  # x divides it
 def test_irreducibility_matches_sympy(p):
     assert is_irreducible(p) == sympy_irreducible(p)
+
+
+def test_irreducibility_evaluates_p_only_at_plus_minus_one(monkeypatch):
+    # 6x^4 + x + 12 has 24 rational root candidates r/s; none is tried
+    calls, evaluate = [], polynomials._eval
+
+    def counting_eval(a, x):
+        calls.append(x)
+        return evaluate(a, x)
+
+    monkeypatch.setattr(polynomials, "_eval", counting_eval)
+    assert is_irreducible(IntPolynomial((12, 1, 0, 0, 6)))
+    assert calls == [1, -1]
 
 
 @IRREDUCIBLE_SETTINGS
