@@ -22,7 +22,7 @@ from .errors import (
     _Record,
 )
 from .matrices import IntMatrix, _annihilator_of_vector
-from .polynomials import IntPolynomial, vanishes_at
+from .polynomials import vanishes_at
 from .spectral import SpectralReport, classify_sdp
 
 if TYPE_CHECKING:
@@ -177,8 +177,7 @@ def _seminorm_table(a: IntMatrix, line: _Eigenline) -> dict:
         return {"error": str(exc)}
     basis = [tuple(1 if j == i else 0 for j in range(a.n)) for i in range(a.n)]
     # exact: P e = 0 iff lam is not a root of the annihilator of e
-    positive = [vanishes_at(IntPolynomial.from_fractions(_annihilator_of_vector(a, e)), line.root)
-                for e in basis]
+    positive = [vanishes_at(_annihilator_of_vector(a, e), line.root) for e in basis]
     values = {_generator_name(i): sem.evaluate(e) if pos else 0.0
               for i, (e, pos) in enumerate(zip(basis, positive))}
     return {"values": values, "all_positive": all(positive)}

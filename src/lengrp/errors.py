@@ -50,6 +50,24 @@ def _as_int(x, what: str = "an integer") -> int:
     raise PreconditionError(f"expected {what}, got {x!r}")
 
 
+def _as_rational(x):
+    """x as a Fraction, or an integer as _as_int takes it; anything else
+    (a bool, a float, a str) raises PreconditionError instead of being
+    converted or parsed."""
+    from fractions import Fraction
+
+    return x if isinstance(x, Fraction) else _as_int(x, "an integer or a Fraction")
+
+
+def _as_count(x, name: str, least: int) -> int:
+    """The setting ``name`` as an int (by _as_int) of at least ``least``;
+    either failure is a PreconditionError that names it."""
+    x = _as_int(x, f"{name} to be an integer")
+    if x < least:
+        raise PreconditionError(f"{name} must be >= {least}, got {x}")
+    return x
+
+
 def _int_tuple(values) -> tuple[int, ...]:
     """The values as a tuple of ints, checked by _as_int; a tuple of
     exact ints is returned as it is, after one pass over their types."""

@@ -20,6 +20,7 @@ from .errors import (
     DEFAULT_STATE_BUDGET,
     PreconditionError,
     ResourceExhausted,
+    _as_count,
     _as_int,
     _Frozen,
     _int_tuple,
@@ -408,18 +409,13 @@ def _refit(group, bound: int, dicts: list, lists: list):
     return wider
 
 
-def _check_radius(radius: int, name: str) -> None:
-    if radius < 0:
-        raise PreconditionError(f"{name} must be nonnegative")
-
-
 def _bfs(group, radius: int, budget: int, whole: bool) -> tuple:
     """The level loop of ``bfs_ball``: (dist, sphere_sizes, group) of the
     ball of the given radius.  Unless ``whole``, dist keeps only the last
     two spheres: a neighbour of sphere r lies in sphere r - 1, r or r + 1,
     so sphere r - 2 is deleted once sphere r is grown.  The budget still
     counts the deleted states, so it overruns where the whole ball would."""
-    _check_radius(radius, "radius")
+    radius, budget = _as_count(radius, "radius", 0), _as_count(budget, "budget", 1)
     dist: Dict[Key, int] = {group.identity_key: 0}
     sphere_sizes = [1]
     frontier = [group.identity_key]
@@ -494,10 +490,9 @@ class SharedBall:
     """
 
     def __init__(self, group, max_radius: int, budget: int = DEFAULT_STATE_BUDGET):
-        _check_radius(max_radius, "max_radius")
         self.group = group  # replaced by a wider adapter as the ball grows
-        self.max_radius = max_radius
-        self.budget = budget
+        self.max_radius = _as_count(max_radius, "max_radius", 0)
+        self.budget = _as_count(budget, "budget", 1)
         self.dist: Dict[Key, int] = {group.identity_key: 0}
         self.spheres = [[group.identity_key]]
         self.extent = 0  # no coordinate of the ball exceeds this

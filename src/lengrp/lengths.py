@@ -24,7 +24,8 @@ from .errors import (
     OracleExhausted,
     PreconditionError,
     ResourceExhausted,
-    _as_int,
+    _as_count,
+    _as_rational,
     _Record,
 )
 from .groups import (
@@ -135,8 +136,8 @@ class HeisWordOracle:
     """
 
     def __init__(self, *, max_radius: int = 40, budget: int = DEFAULT_STATE_BUDGET):
-        self.max_radius = max_radius
         self._ball = SharedBall(HeisenbergGroup(), max_radius, budget)
+        self.max_radius = self._ball.max_radius
 
     def word_length(self, g: HeisElem) -> WordLengthResult:
         closed = blachere_word_length(g.x, g.y, g.z)
@@ -269,8 +270,7 @@ def stable_length_estimate(length: LengthEvaluator, g, k_max: int) -> StableLeng
     """
     from fractions import Fraction
 
-    if k_max < 1:
-        raise PreconditionError("k_max must be >= 1")
+    k_max = _as_count(k_max, "k_max", 1)
     samples: list[tuple[int, Value, Value]] = []
     skipped: list[int] = []
     partial = False
@@ -324,13 +324,6 @@ def stable_length_estimate(length: LengthEvaluator, g, k_max: int) -> StableLeng
     )
 
 
-def _rationals(q: Sequence) -> list[Union[int, Fraction]]:
-    """Lattice coordinates q, each a Fraction or an integer as errors._as_int takes it."""
-    from fractions import Fraction
-
-    return [x if isinstance(x, Fraction) else _as_int(x, "an integer or a Fraction") for x in q]
-
-
 def extend_rational(length: LengthEvaluator, q: Sequence[Union[int, Fraction]]) -> Value:
     """Evaluate a lattice length function at a rational point.
 
@@ -341,7 +334,7 @@ def extend_rational(length: LengthEvaluator, q: Sequence[Union[int, Fraction]]) 
 
     if length.domain != "lattice":
         raise PreconditionError("rational extension needs a lattice evaluator")
-    fracs = _rationals(q)
+    fracs = list(map(_as_rational, q))
     d = 1
     for x in fracs:
         d = d * x.denominator // gcd(d, x.denominator)
@@ -389,13 +382,14 @@ class _Eigenline:
     word-length bound (_eigen_functional) and the seminorm.
 
     A has minimal polynomial m = (x - lam) r, and root = unit_circle_root(m)
-    locates lam.  I, A, ..., A^(deg m - 1) are formed once.  For lam = +-1,
-    lam, r(lam) and the rows of r(A) are exact integers.  Otherwise they are
-    outward-rounded mpmath.iv enclosures at ``prec`` bits: dps_to_prec(dps)
-    plus _MARGIN_BITS plus the guard bits of max_k |A^k| * sum |m_k|, the
-    size of the terms of r(A); lam = (y0 + i*sqrt(4 - y0^2))/2 with y0 in
-    the first dyadic bracket of polynomials._dyadic_brackets narrower than
-    2^-prec.
+    locates lam: it is lam = +-1, or (q, u, v, k) with the half-trace y0 of
+    lam in the integer dyadic (u/2^k, v/2^k].  I, A, ..., A^(deg m - 1) are
+    formed once.  For lam = +-1, lam, r(lam) and the rows of r(A) are exact
+    integers.  Otherwise they are outward-rounded mpmath.iv enclosures at
+    ``prec`` bits: dps_to_prec(dps) plus _MARGIN_BITS plus the guard bits
+    of max_k |A^k| * sum |m_k|, the size of the terms of r(A);
+    lam = (y0 + i*sqrt(4 - y0^2))/2 with y0 in the first bracket of
+    polynomials._dyadic_brackets(root) narrower than 2^-prec.
     """
 
     def __init__(self, a: IntMatrix, m: IntPolynomial, root: Optional[UnitRoot], dps: int):
@@ -404,9 +398,7 @@ class _Eigenline:
 
         from .polynomials import _dyadic_brackets
 
-        dps = _as_int(dps, "dps to be an integer")
-        if dps < 1:
-            raise PreconditionError(f"dps must be >= 1, got {dps}")
+        dps = _as_count(dps, "dps", 1)
         if root is None:
             raise PreconditionError("matrix has no eigenvalue of modulus one")
         self.m, self.root, self.dps = m, root, dps
@@ -468,10 +460,9 @@ def _eigenline_seminorm(line: _Eigenline) -> LengthEvaluator:
     """unit_eigen_seminorm(a, line.dps) from the eigenline of A."""
     import mpmath
 
-    from .polynomials import IntPolynomial, _fp, _fp_gcd, vanishes_at
+    from .polynomials import _gcd, vanishes_at
 
-    if vanishes_at(IntPolynomial.from_fractions(_fp_gcd(_fp(line.m), _fp(line.m.derivative()))),
-                   line.root):
+    if vanishes_at(_gcd(line.m, line.m.derivative()), line.root):
         raise NumericalDegeneracyError("defective eigenvalue: eigenline pairing singular")
     dps, proj = line.dps, line.projector()
     with mpmath.workdps(dps):
@@ -482,7 +473,7 @@ def _eigenline_seminorm(line: _Eigenline) -> LengthEvaluator:
         if len(v) != n:
             raise PreconditionError("dimension mismatch")
         with mpmath.workdps(dps):
-            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in _rationals(v)])
+            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in map(_as_rational, v)])
             return float(mpmath.norm(proj * col) / op_norm)
 
     return LengthEvaluator(
@@ -701,8 +692,7 @@ def check_axioms(length: LengthEvaluator, sample_budget: int = 1000,
     """
     if tolerance is not None and not (isfinite(tolerance) and tolerance >= 0):
         raise PreconditionError(f"tolerance must be a finite number >= 0, got {tolerance}")
-    if sample_budget < 1:
-        raise PreconditionError(f"sample_budget must be >= 1, got {sample_budget}")
+    sample_budget = _as_count(sample_budget, "sample_budget", 1)
     rng = random.Random(seed)
     if length.domain == "heisenberg":
         sampler = _HeisSampler(rng)

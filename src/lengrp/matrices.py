@@ -1,12 +1,12 @@
 """Exact integer matrices and their spectral bookkeeping.
 
 The minimal polynomial and the finite-order test for GL_n(Z) elements,
-both in exact arithmetic.  ``polynomials`` is imported by those two
-functions, not with the module, so matrix products alone never load it.
+both in exact arithmetic.  ``polynomials`` and ``fractions`` are imported
+by the functions that use them, not with the module, so matrix products
+and inverses alone never load them.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import PreconditionError, _Frozen, _int_tuple
@@ -78,25 +78,27 @@ class IntMatrix(_Frozen):
         return sign * m[n - 1][n - 1]
 
     def inverse(self) -> "IntMatrix":
-        """Exact inverse; defined (over Z) only for |det| = 1."""
-        d = self.det()
-        if abs(d) != 1:
+        """Exact inverse; defined (over Z) only for |det| = 1.
+
+        Fraction-free Gauss-Jordan (Bareiss) on [A | I]: each step divides
+        exactly by the previous pivot, and the last leaves d [I | A^-1]
+        with d = +-det A = +-1.
+        """
+        if abs(self.det()) != 1:
             raise PreconditionError("inverse over Z needs |det| = 1")
         n = self.n
-        aug = [
-            [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i, row in enumerate(self.rows)
-        ]
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.rows)]
+        prev = 1
         for col in range(n):
-            piv = next(i for i in range(col, n) if aug[i][col] != 0)
+            piv = next(i for i in range(col, n) if aug[i][col])
             aug[col], aug[piv] = aug[piv], aug[col]
             pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
             for i in range(n):
-                if i != col and aug[i][col] != 0:
+                if i != col:
                     f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-        return IntMatrix(tuple(tuple(int(x) for x in row[n:]) for row in aug))
+                    aug[i] = [(pv * a - f * b) // prev for a, b in zip(aug[i], aug[col])]
+            prev = pv
+        return IntMatrix(tuple(tuple(prev * x for x in row[n:]) for row in aug))
 
     def mat_pow(self, k: int) -> "IntMatrix":
         if k < 0:
@@ -111,8 +113,14 @@ class IntMatrix(_Frozen):
         return result
 
 
-def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> list[Fraction]:
-    """Monic minimal polynomial of the Krylov sequence e, Ae, A^2 e, ..."""
+def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> IntPolynomial:
+    """Monic minimal polynomial of the Krylov sequence e, Ae, A^2 e, ...,
+    by elimination over Q.  It divides the minimal polynomial of A, which
+    is monic in Z[x], so by Gauss's lemma it lies in Z[x]."""
+    from fractions import Fraction
+
+    from .polynomials import IntPolynomial
+
     n = a.n
     # echelon rows: a reduced vector, then its coefficients on e, Ae, ..., A^n e
     basis: list[tuple[int, list[Fraction]]] = []
@@ -126,7 +134,7 @@ def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> list[Fraction]:
         piv = next((i for i in range(n) if row[i]), None)
         if piv is None:
             # sum row[n + i] * A^i e = 0, monic in degree `power`
-            return row[n:n + power + 1]
+            return IntPolynomial(tuple(int(c) for c in row[n:n + power + 1]))
         basis.append((piv, [x / row[piv] for x in row]))
         cur = a.apply(cur)
     raise AssertionError("n + 1 vectors in Q^n are dependent")
@@ -135,23 +143,21 @@ def _annihilator_of_vector(a: IntMatrix, e: tuple[int, ...]) -> list[Fraction]:
 def minimal_poly(a: IntMatrix) -> IntPolynomial:
     """Monic polynomial of least degree with p(A) = 0, exact: the lcm of
     the annihilators of the unit vectors."""
-    from .polynomials import IntPolynomial, _fp_divmod, _fp_gcd
+    from .polynomials import IntPolynomial, _div, _gcd
 
     n = a.n
-    acc: list[Fraction] = [Fraction(1)]
+    acc = IntPolynomial((1,))
     for i in range(n):
         ann = _annihilator_of_vector(a, tuple(1 if j == i else 0 for j in range(n)))
-        extra, _ = _fp_divmod(ann, _fp_gcd(acc, ann))  # lcm(acc, ann) = acc * extra
-        prod = [Fraction(0)] * (len(acc) + len(extra) - 1)
-        for p, x in enumerate(acc):
+        extra = _div(ann.coeffs, _gcd(acc, ann).coeffs)  # lcm(acc, ann) = acc * extra
+        prod = [0] * (len(acc.coeffs) + len(extra) - 1)
+        for p, x in enumerate(acc.coeffs):
             for q, y in enumerate(extra):
                 prod[p + q] += x * y
-        acc = prod
-        if len(acc) - 1 == n:
+        acc = IntPolynomial(tuple(prod))
+        if acc.degree == n:
             break
-    poly = IntPolynomial.from_fractions(acc)
-    assert poly.leading == 1, "minimal polynomial of an integer matrix is monic over Z"
-    return poly
+    return acc
 
 
 def finite_order(a: IntMatrix) -> Optional[int]:

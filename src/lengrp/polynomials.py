@@ -8,15 +8,17 @@ over Q (Zassenhaus, in exact integer arithmetic).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, isqrt, lcm
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import PreconditionError, _Frozen, _int_tuple
+from .errors import PreconditionError, _as_rational, _Frozen, _int_tuple
 
-Scalar = Union[int, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Scalar = Union[int, Fraction]
 
 
 def _content(coeffs: Sequence[int]) -> int:
@@ -36,15 +38,9 @@ class IntPolynomial(_Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]):
-        cs = list(_int_tuple(coeffs))
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [0]
+        cs = _trim(list(_int_tuple(coeffs))) or [0]
         if any(cs):
-            cont = _content(cs)
-            if cs[-1] < 0:
-                cont = -cont
+            cont = _content(cs) if cs[-1] > 0 else -_content(cs)
             cs = [c // cont for c in cs]
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -84,16 +80,8 @@ class IntPolynomial(_Frozen):
         """Coefficient reversal x^deg * p(1/x)."""
         return IntPolynomial(tuple(reversed(self.coeffs)))
 
-    @classmethod
-    def from_fractions(cls, coeffs: Iterable[Fraction]) -> "IntPolynomial":
-        cs = [Fraction(c) for c in coeffs]
-        denom = 1
-        for c in cs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        return cls(tuple(int(c * denom) for c in cs))
 
-
-# -- coefficient lists over Z or Q, constant term first ------------------
+# -- coefficient lists over Z, constant term first -----------------------
 
 
 def _trim(a: list) -> list:
@@ -125,35 +113,40 @@ def _div(a: Sequence[int], b: Sequence[int]) -> Optional[list[int]]:
     return None if any(rest[:db]) else q
 
 
-def _fp(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _sign(a: Sequence[int], num: int, den: int) -> int:
+    """The sign of a(num/den), den > 0, read in integers off
+    den^deg(a) * a(num/den) (homogeneous Horner)."""
+    acc, scale = 0, 1
+    for c in reversed(a):
+        acc, scale = acc * num + c * scale, scale * den
+    return (acc > 0) - (acc < 0)
 
 
-def _fp_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    while _trim(a) and len(a) >= len(b):
-        shift = len(a) - len(b)
-        coef = a[-1] / b[-1]
-        q[shift] = coef
-        for i, bc in enumerate(b):
-            a[shift + i] -= coef * bc
-        _trim(a)
-    return _trim(q), a
+def _rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The remainder of a by b over Q, times the positive rational that
+    makes it a primitive list in Z[x] ([] for zero); a and b trimmed, b
+    nonzero."""
+    from fractions import Fraction
+
+    r, lead, db = [Fraction(c) for c in a], b[-1], len(b) - 1
+    for shift in range(len(r) - 1 - db, -1, -1):
+        coef = r[shift + db] / lead
+        if coef:
+            for i, bc in enumerate(b):
+                r[shift + i] -= coef * bc
+    den = lcm(*(c.denominator for c in r[:db]))
+    r = _trim([int(c * den) for c in r[:db]])
+    cont = _content(r)
+    return [c // cont for c in r]
 
 
-def _fp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Monic gcd over Q (constant 1 for coprime inputs)."""
-    a, b = _trim(list(a)), _trim(list(b))
+def _gcd(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """gcd(p, q) over Q, primitive with a positive leading coefficient
+    (Euclid on _rem; zero for two zeros)."""
+    a, b = _trim(list(p.coeffs)), _trim(list(q.coeffs))
     while b:
-        _, r = _fp_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
+        a, b = b, _rem(a, b)
+    return IntPolynomial(tuple(a))
 
 
 # -- squarefree part, Sturm counting -------------------------------------
@@ -161,36 +154,33 @@ def _fp_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 def is_squarefree(p: IntPolynomial) -> bool:
     """True iff p has no repeated root over C, i.e. gcd(p, p') is constant."""
-    return len(_fp_gcd(_fp(p), _fp(p.derivative()))) == 1
+    return _gcd(p, p.derivative()).degree == 0
 
 
 def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'), primitive with positive leading coefficient.
 
-    The gcd is taken over Q and made primitive; by Gauss's lemma it then
-    divides p in Z[x].
+    The gcd is primitive; by Gauss's lemma it divides p in Z[x].
     """
     if p.is_zero:
         raise PreconditionError("squarefree part of the zero polynomial")
-    g = IntPolynomial.from_fractions(_fp_gcd(_fp(p), _fp(p.derivative())))
-    return IntPolynomial(tuple(_div(p.coeffs, g.coeffs)))
+    return IntPolynomial(tuple(_div(p.coeffs, _gcd(p, p.derivative()).coeffs)))
 
 
-def _sturm_variations(q: IntPolynomial) -> Callable[[Fraction], int]:
-    """x -> number of sign changes of the Sturm sequence of q at x."""
-    chain = [_fp(q), _fp(q.derivative())]
+def _sturm_variations(q: IntPolynomial) -> Callable[[int, int], int]:
+    """(num, den) -> number of sign changes of the Sturm sequence of q, of
+    degree >= 1, at num/den with den > 0.  The chain is in Z[x]: each entry
+    is a positive multiple of the textbook -rem(p_(i-1), p_i) over Q, so
+    the signs are the same."""
+    chain = [list(q.coeffs), list(q.derivative().coeffs)]
     while len(chain[-1]) > 1:
-        _, r = _fp_divmod(chain[-2], chain[-1])
+        r = _rem(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
 
-    def variations(x: Fraction) -> int:
-        signs = []
-        for poly in chain:
-            v = _eval(poly, x)
-            if v != 0:
-                signs.append(1 if v > 0 else -1)
+    def variations(num: int, den: int) -> int:
+        signs = [s for s in (_sign(p, num, den) for p in chain) if s]
         return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
     return variations
@@ -199,10 +189,11 @@ def _sturm_variations(q: IntPolynomial) -> Callable[[Fraction], int]:
 def sturm_count(q: IntPolynomial, a: Scalar, b: Scalar) -> int:
     """Number of distinct real roots of squarefree q in the interval (a, b].
 
-    Neither endpoint may be a root; perturb the endpoints by an exact
-    rational shift before calling if that happens.
+    The endpoints are integers or Fractions (errors._as_rational), and
+    neither may be a root; perturb the endpoints by an exact rational shift
+    before calling if that happens.
     """
-    a, b = Fraction(a), Fraction(b)
+    a, b = _as_rational(a), _as_rational(b)
     if a >= b:
         raise PreconditionError("need a < b")
     if q.degree < 1:
@@ -210,7 +201,7 @@ def sturm_count(q: IntPolynomial, a: Scalar, b: Scalar) -> int:
     if q(a) == 0 or q(b) == 0:
         raise PreconditionError("endpoint is a root; perturb it first")
     variations = _sturm_variations(q)
-    return variations(a) - variations(b)
+    return variations(a.numerator, a.denominator) - variations(b.numerator, b.denominator)
 
 
 # -- unit-circle root detection ------------------------------------------
@@ -224,8 +215,7 @@ def self_reciprocal_part(p: IntPolynomial) -> IntPolynomial:
     """
     if p.constant_term == 0:
         raise PreconditionError("zero constant term; factor out x first")
-    g = _fp_gcd(_fp(p), _fp(p.reversed_()))
-    return IntPolynomial.from_fractions(g)
+    return _gcd(p, p.reversed_())
 
 
 def half_trace_transform(r: IntPolynomial) -> IntPolynomial:
@@ -248,7 +238,7 @@ def half_trace_transform(r: IntPolynomial) -> IntPolynomial:
     return IntPolynomial(tuple(q))
 
 
-UnitRoot = Union[int, tuple[IntPolynomial, Fraction, Fraction]]
+UnitRoot = Union[int, tuple[IntPolynomial, int, int, int]]
 
 
 def unit_circle_root(p: IntPolynomial) -> Optional[UnitRoot]:
@@ -257,8 +247,8 @@ def unit_circle_root(p: IntPolynomial) -> Optional[UnitRoot]:
     p needs a unit constant term, as minimal polynomials in GL_n(Z) have.
     lam is 1, else -1, else (y0 + i*sqrt(4 - y0^2))/2 for the least root y0
     in (-2, 2) of the squarefree half-trace polynomial q of the palindromic
-    factor: then the result is (q, lo, hi), y0 the only root of q in the
-    dyadic (lo, hi], found by Sturm bisection.
+    factor: then the result is (q, u, v, k), y0 the only root of q in the
+    dyadic (u/2^k, v/2^k], found by Sturm bisection in integers.
     """
     if p.degree < 1:
         raise PreconditionError("need a nonconstant polynomial")
@@ -273,60 +263,52 @@ def unit_circle_root(p: IntPolynomial) -> Optional[UnitRoot]:
     q = squarefree_part(half_trace_transform(r))
     variations = _sturm_variations(q)
     # roots at y = +-2 would mean x = +-1, excluded above
-    lo, hi = Fraction(-2), Fraction(2)
-    count = variations(lo) - variations(hi)
+    u, v, k = -2, 2, 0
+    count = variations(u, 1) - variations(v, 1)
     while count > 1:
-        mid = (lo + hi) / 2
-        while q(mid) == 0:
-            mid = (mid + hi) / 2
-        left = variations(lo) - variations(mid)
-        lo, hi, count = (lo, mid, left) if left else (mid, hi, count)
-    return (q, lo, hi) if count else None
+        u, v, mid, k = 2 * u, 2 * v, u + v, k + 1
+        while not _sign(q.coeffs, mid, 1 << k):  # a root: move mid halfway to v
+            u, v, mid, k = 2 * u, 2 * v, mid + v, k + 1
+        left = variations(u, 1 << k) - variations(mid, 1 << k)
+        u, v, count = (u, mid, left) if left else (mid, v, count)
+    return (q, u, v, k) if count else None
 
 
-def _dyadic_brackets(root: tuple[IntPolynomial, Fraction, Fraction]) -> Iterator[tuple[int, int, int]]:
-    """Ever narrower brackets (u, v, k) of y0, from root = (q, lo, hi) of
+def _dyadic_brackets(root: tuple[IntPolynomial, int, int, int]) -> Iterator[tuple[int, int, int]]:
+    """Ever narrower brackets (u, v, k) of y0, from root = (q, u, v, k) of
     unit_circle_root: y0 in [u/2^k, v/2^k], and v - u stays fixed while k
     grows by one per bracket.
 
     q is monic, so a rational y0 is -1, 0 or 1, taken exactly: u = v.
     Otherwise y0 is the only root of q in (u/2^k, v/2^k], across which q
-    changes sign; bisection keeps the half that holds the sign change,
-    reading the sign of q at u/2^k off the integer 2^(k deg q) q(u/2^k).
+    changes sign; bisection keeps the half that holds the sign change.
     """
-    q, lo, hi = root
-
-    def sign(u: int, k: int) -> int:
-        acc, scale = 0, 1
-        for c in reversed(q.coeffs):
-            acc, scale = acc * u + c * scale, scale << k
-        return (acc > 0) - (acc < 0)
-
-    k = max(lo.denominator, hi.denominator).bit_length() - 1
-    u, v = int(lo * 2 ** k), int(hi * 2 ** k)  # y0 in (u/2^k, v/2^k]
+    q, u, v, k = root
+    q = q.coeffs
     for t in (-1, 0, 1):
-        if lo < t <= hi and q(t) == 0:
+        if u < t << k <= v and not _sign(q, t, 1):
             u = v = t << k
-    sign_v = sign(v, k)
+    sign_v = _sign(q, v, 1 << k)
     while True:
         yield u, v, k
         u, v, k = 2 * u, 2 * v, k + 1
         mid = (u + v) // 2
-        if sign(mid, k) == sign_v:
-            v = mid
-        else:
-            u = mid
+        u, v = (u, mid) if _sign(q, mid, 1 << k) == sign_v else (mid, v)
 
 
 def vanishes_at(p: IntPolynomial, root: UnitRoot) -> bool:
     """p(lam) = 0, exactly, for lam located by root = unit_circle_root(m) and
-    p whose unit-circle roots are roots of m (a divisor of m, say)."""
+    p whose unit-circle roots are roots of m (a divisor of m, say): the
+    integer Sturm chain of p's squarefree half-trace counts its roots in
+    the bracket (u/2^k, v/2^k] of root, whose ends are roots of neither."""
     if isinstance(root, int):
         return p(root) == 0
-    _, lo, hi = root
+    _, u, v, k = root
     r = self_reciprocal_part(p)
-    return r.degree > 0 and sturm_count(
-        squarefree_part(half_trace_transform(r)), lo, hi) > 0
+    if r.degree == 0:
+        return False
+    variations = _sturm_variations(squarefree_part(half_trace_transform(r)))
+    return variations(u, 1 << k) > variations(v, 1 << k)
 
 
 def has_unit_circle_eigenvalue(p: IntPolynomial) -> bool:

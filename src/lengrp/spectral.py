@@ -20,7 +20,9 @@ class SpectralReport(_Frozen):
     """Exact verdicts about a GL_n(Z) matrix viewed as a semidirect twist,
     and, outside the JSON, the minimal polynomial they were read from and
     the location ``unit_circle_root(minimal_poly)`` of a unit-circle
-    eigenvalue (None without one), which a full dossier reuses.
+    eigenvalue, which a full dossier reuses: 1 or -1, or (q, u, v, k) with
+    the eigenvalue's half-trace the only root of q in the integer dyadic
+    (u/2^k, v/2^k], or None without one.
     ``purely_positive_stable_word_length`` and ``vanishes_on_lattice`` are
     TriState values: "yes", "no" or "indeterminate"."""
 

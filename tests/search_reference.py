@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from lengrp.errors import _as_count
 from lengrp.groups import (
     DEFAULT_STATE_BUDGET,
     SdpContext,
     SdpElem,
     SdpGroup,
-    _check_radius,
     _grow,
     _refit,
 )
@@ -65,7 +65,7 @@ def bfs_word_length(group, g, max_radius: int,
     place outside the ball of radius max_radius reads None before any key
     is formed.
     """
-    _check_radius(max_radius, "max_radius")
+    _as_count(max_radius, "max_radius", 0)
     coords = g.key
     if isinstance(group, SdpGroup) and outside(group, coords, max_radius, budget):
         return None

@@ -337,7 +337,7 @@ NO_FRACTIONS = NO_DATACLASSES | {"fractions"}
     (["ball", "--group", "heis", "--radius", "4"], {"cli", "errors", "groups"},
      NO_FRACTIONS, "cli_ball_heis.json"),
     (["ball", "--group", "sdp", "--matrix", "[[2,1],[1,1]]", "--radius", "3"],
-     {"cli", "errors", "groups", "matrices"}, NO_DATACLASSES, "cli_ball_sdp.json"),
+     {"cli", "errors", "groups", "matrices"}, NO_FRACTIONS, "cli_ball_sdp.json"),
     (["classify", "--matrix", CONNER_ARG],
      {"cli", "errors", "matrices", "polynomials", "spectral", "classify"},
      NO_DATACLASSES, "cli_classify_none.json"),

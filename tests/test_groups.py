@@ -553,12 +553,15 @@ def test_two_spheres_overrun_the_budget_where_the_ball_does(group):
     sizes = bfs_ball(group, 6).sphere_sizes
     for r in range(7):
         ball_size = sum(sizes[:r + 1])
-        for budget in (ball_size - 1, ball_size, ball_size + 1):
+        for budget in range(max(ball_size - 1, 1), ball_size + 2):  # 0: see below
             whole = outcome(lambda: bfs_ball(group, 6, budget).sphere_sizes)
             assert outcome(lambda: two_spheres(group, 6, budget)[1]) == whole
             if r == 6:
                 assert whole == (sizes if budget >= ball_size else (
                     ResourceExhausted, f"state budget {budget} exceeded at radius 6", 5))
+    for sizes in (lambda: bfs_ball(group, 6, 0), lambda: two_spheres(group, 6, 0)):
+        with pytest.raises(PreconditionError, match="budget must be >= 1, got 0"):
+            sizes()
 
 
 def traced_peak(run):

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lengrp.classify import build_dossier
 from lengrp.errors import (
     NumericalDegeneracyError,
     OracleExhausted,
@@ -43,7 +44,7 @@ from lengrp.lengths import (
     zero_evaluator,
 )
 from lengrp.matrices import IntMatrix, minimal_poly
-from lengrp.polynomials import unit_circle_root
+from lengrp.polynomials import IntPolynomial, sturm_count, unit_circle_root
 
 import exact_reference
 from exact_reference import (
@@ -344,8 +345,13 @@ def test_extend_rational():
         extend_rational(swl_evaluator(), [1, 2])
 
 
-@pytest.mark.parametrize("apply", [LengthEvaluator.evaluate, extend_rational],
-                         ids=["seminorm", "extend_rational"])
+def sturm_count_up_to(_, v):
+    """Roots of 16x^2 - 16x + 3, at 1/4 and 3/4, in (-2, v_0]: 2 at 1, 1 at 1/2."""
+    return sturm_count(IntPolynomial((3, -16, 16)), -2, v[0])
+
+
+@pytest.mark.parametrize("apply", [LengthEvaluator.evaluate, extend_rational, sturm_count_up_to],
+                         ids=["seminorm", "extend_rational", "sturm_count"])
 def test_lattice_coordinates_are_integers_or_fractions(apply):
     # what operator.index takes, bool aside, or a Fraction; nothing is parsed or rounded
     sem = unit_eigen_seminorm(IntMatrix(((0, -1), (1, 0))))
@@ -632,6 +638,24 @@ def test_check_axioms_rejects_bad_sample_budget():
         with pytest.raises(PreconditionError, match="sample_budget"):
             check_axioms(word_length_evaluator(), bad)
     assert check_axioms(lattice_swl_evaluator(), 1).samples == 1
+
+
+@pytest.mark.parametrize("call, name, low", [
+    (lambda x: stable_length_estimate(swl_evaluator(), HeisElem(1, 0, 1), x), "k_max", 0),
+    (lambda x: check_axioms(swl_evaluator(), sample_budget=x), "sample_budget", 0),
+    (lambda x: HeisWordOracle(max_radius=x), "max_radius", -1),
+    (lambda x: HeisWordOracle(budget=x), "budget", 0),
+    (lambda x: bfs_ball(HeisenbergGroup(), x), "radius", -1),
+    (lambda x: bfs_ball(HeisenbergGroup(), 2, budget=x), "budget", 0),
+    (lambda x: build_dossier(HYPERBOLIC, "estimates", max_radius=x), "max_radius", -1),
+    (lambda x: build_dossier(HYPERBOLIC, "estimates", budget=x), "budget", 0),
+], ids=["k_max", "sample_budget", "oracle-radius", "oracle-budget", "ball-radius",
+        "ball-budget", "dossier-radius", "dossier-budget"])
+@pytest.mark.parametrize("bad", [True, 2.5, "3", None], ids=["bool", "float", "str", "low"])
+def test_integer_settings_are_checked(call, name, low, bad):
+    # neither truncated, nor read as 1, nor passed on to a TypeError
+    with pytest.raises(PreconditionError, match=name):
+        call(low if bad is None else bad)
 
 
 def pinned_report(homogeneity=None, conjugation=None, tolerance=0.0):

@@ -91,6 +91,19 @@ def test_inverse_and_powers():
     assert CONNER.mat_pow(-2) == inv @ inv
     with pytest.raises(PreconditionError):
         IntMatrix.from_rows([[2, 0], [0, 1]]).inverse()
+    # unimodular products with transvections, row swaps and sign flips
+    rng = random.Random(25)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        a = IntMatrix.identity(n)
+        for _ in range(rng.randint(0, 12)):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            kind = rng.choice(["add", "swap", "sign"] if n > 1 else ["sign"])
+            a = a @ elementary(n, kind, i, j, rng.choice([-2, -1, 1, 2]))
+        assert a @ a.inverse() == a.inverse() @ a == IntMatrix.identity(n)
+    for rows in ([[1, 1], [1, 1]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]], [[1, 1], [-1, 1]]):
+        with pytest.raises(PreconditionError):  # det 0, 0 and 2
+            IntMatrix.from_rows(rows).inverse()
 
 
 def test_char_poly_goldens():
@@ -138,6 +151,34 @@ def test_minimal_poly_annihilates():
             )
             power = power @ a
         assert acc == IntMatrix.from_rows([[0] * 3] * 3)
+
+
+def test_minimal_poly_of_derogatory_blocks_is_the_lcm():
+    """P B P^-1 with B block-diagonal in companions of f^e, factors
+    repeated across blocks: the minimal polynomial is the lcm of the block
+    polynomials, not their product."""
+    factors = [X - 1, X + 1, X - 2, X**2 + 1, X**2 - X - 1, X**2 + 2, X**3 - X - 1]
+    f, g = X**2 - X - 1, X**2 + 1
+    cases = [[f, f, g**2], [g, g**2, X - 1, X - 1]]
+    rng = random.Random(26)
+    while len(cases) < 60:
+        blocks = [rng.choice(factors) ** rng.randint(1, 2) for _ in range(rng.randint(2, 4))]
+        if sum(sympy.degree(b, X) for b in blocks) <= 8:
+            cases.append(blocks)
+    for blocks in cases:
+        polys = [sympy.Poly(b, X) for b in blocks]
+        b = IntMatrix.from_rows(block_diag(
+            [companion([int(c) for c in reversed(p.all_coeffs())][:-1]) for p in polys]))
+        u = IntMatrix.identity(b.n)
+        for _ in range(6):
+            i, j = rng.sample(range(b.n), 2)
+            u = u @ elementary(b.n, rng.choice(["add", "swap", "sign"]), i, j,
+                               rng.choice([-2, -1, 1, 2]))
+        lcm = polys[0]
+        for p in polys[1:]:
+            lcm = sympy.lcm(lcm, p)
+        assert minimal_poly(u @ b @ u.inverse()).coeffs == tuple(
+            int(c) for c in reversed(lcm.all_coeffs()))
 
 
 def test_is_diagonalizable():

@@ -12,6 +12,7 @@ from lengrp.errors import PreconditionError
 from lengrp.polynomials import (
     IntPolynomial,
     _div,
+    _gcd,
     _trim,
     cyclotomic_order,
     half_trace_transform,
@@ -141,6 +142,32 @@ def test_div_matches_sympy(b_low, b_lead, q_low, q_lead, scale, r):
         assert _trim(list_mul(b, expected)) == a
 
 
+def sympy_gcd(a, b):
+    """sympy's gcd of two coefficient lists, made primitive with a positive
+    leading coefficient; constant term first."""
+    x = sympy.Symbol("x")
+    g = sympy.gcd(sympy.Poly(list(reversed(a)) or [0], x), sympy.Poly(list(reversed(b)) or [0], x))
+    if not g.is_zero:
+        g = g.primitive()[1]
+        g = -g if g.LC() < 0 else g
+    return tuple(int(c) for c in reversed(g.all_coeffs()))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(-4, 4), max_size=4), st.lists(st.integers(-4, 4), max_size=4),
+       st.lists(st.integers(-4, 4), max_size=4), st.sampled_from([1, -1, 2, -6]),
+       st.sampled_from([1, 3, -4]))
+@example([1, 1], [1, 0, 2], [-1, 3], 6, 3)  # shared x + 1, non-monic and non-primitive
+@example([1], [1, 2], [3, 0, 2], 2, -4)  # coprime, non-monic
+@example([1, 1], [], [1, 2], 1, 1)  # zero and a nonzero polynomial
+@example([], [], [], 1, 1)  # two zeros
+def test_gcd_matches_sympy(common, f, g, sa, sb):
+    """a = sa * common * f and b = sb * common * g."""
+    a = [sa * c for c in list_mul(common, f)]
+    b = [sb * c for c in list_mul(common, g)]
+    assert _gcd(IntPolynomial(tuple(a)), IntPolynomial(tuple(b))).coeffs == sympy_gcd(a, b)
+
+
 def test_sturm_count():
     p = IntPolynomial((-2, 0, 1))  # x^2 - 2
     assert sturm_count(p, 0, 2) == 1
@@ -239,16 +266,29 @@ def test_unit_circle_root_goldens():
     assert unit_circle_root(IntPolynomial((-1, 0, 1))) == 1  # 1 before -1
     assert unit_circle_root(IntPolynomial((1, 1))) == -1
     assert unit_circle_root(IntPolynomial((1, -3, 1))) is None
-    q, lo, hi = unit_circle_root(CONNER_CHAR)  # y0 = 1 - sqrt(2)
+    q, u, v, k = unit_circle_root(CONNER_CHAR)  # y0 = 1 - sqrt(2)
+    lo, hi = Fraction(u, 2 ** k), Fraction(v, 2 ** k)
     assert lo < 1 - 2 ** 0.5 < hi and sturm_count(q, lo, hi) == 1
     # omega (y = -1) and i (y = 0): the least y is a rational root
     root = unit_circle_root(pmul(cyclotomic(4), cyclotomic(3)))
-    q, lo, hi = root
+    q, u, v, k = root
+    lo, hi = Fraction(u, 2 ** k), Fraction(v, 2 ** k)
     assert lo < -1 < hi and sturm_count(q, lo, hi) == 1
     assert vanishes_at(cyclotomic(3), root) and not vanishes_at(cyclotomic(4), root)
     assert vanishes_at(IntPolynomial((-1, 1)), 1) and not vanishes_at(IntPolynomial((1, 1)), 1)
     with pytest.raises(PreconditionError):
         unit_circle_root(IntPolynomial((2, 0, 1)))
+
+
+@pytest.mark.parametrize("p, lo, hi", [
+    (CONNER_CHAR, -2, 2),
+    (LEHMER, -2, Fraction(-3, 2)),
+    (pmul(cyclotomic(4), cyclotomic(3)), -2, Fraction(-1, 2)),
+], ids=["conner", "lehmer", "c4c3"])
+def test_unit_circle_root_bracket_is_the_rational_bisection_s(p, lo, hi):
+    # the (lo, hi] that Sturm bisection over Q finds, as an integer dyadic
+    _, u, v, k = unit_circle_root(p)
+    assert (Fraction(u, 2 ** k), Fraction(v, 2 ** k)) == (lo, hi)
 
 
 UNIT_ROOT_FACTORS = [cyclotomic(k) for k in (1, 2, 3, 4, 5, 6, 8, 12)] + [
@@ -268,7 +308,8 @@ def test_unit_circle_root_isolates_the_least_half_trace(factors):
         assert root == (1 if any(abs(z - 1) < 1e-9 for z in on_circle) else -1)
         assert any(abs(z - root) < 1e-9 for z in on_circle)
     else:
-        q, lo, hi = root
+        q, u, v, k = root
+        lo, hi = Fraction(u, 2 ** k), Fraction(v, 2 ** k)
         y0 = min(2 * z.real for z in on_circle)
         assert lo - 1e-9 < y0 <= hi + 1e-9 and sturm_count(q, lo, hi) == 1
         for f in set(factors):
@@ -388,3 +429,22 @@ def test_cyclotomic_order_of_single_factors_and_binomials():
     # x^N + 1 divides x^2N - 1 but not x^N - 1
     for n in range(1, 40):
         assert cyclotomic_order(IntPolynomial((1,) + (0,) * (n - 1) + (1,))) == 2 * n
+
+
+def test_fraction_stays_in_the_two_q_kernels():
+    """In the polynomial and matrix layers only the remainder over Q and
+    the Krylov elimination name Fraction; everything else is in Z[x]."""
+    import ast
+    import inspect
+
+    from lengrp import matrices
+
+    named = set()
+    for module in (polynomials, matrices):
+        for fn in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Name) and node.id == "Fraction"
+                    or isinstance(node, ast.alias) and node.name == "Fraction"
+                    for node in ast.walk(fn)):
+                named.add(fn.name)
+    assert named == {"_rem", "_annihilator_of_vector"}
