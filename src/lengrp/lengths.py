@@ -473,7 +473,8 @@ def _eigenline_seminorm(line: _Eigenline) -> LengthEvaluator:
         if len(v) != n:
             raise PreconditionError("dimension mismatch")
         with mpmath.workdps(dps):
-            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator for x in map(_as_rational, v)])
+            col = mpmath.matrix([mpmath.mpf(x.numerator) / x.denominator
+                                 for x in map(_as_rational, v)])
             return float(mpmath.norm(proj * col) / op_norm)
 
     return LengthEvaluator(

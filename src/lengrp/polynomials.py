@@ -172,7 +172,7 @@ def _sturm_variations(q: IntPolynomial) -> Callable[[int, int], int]:
     degree >= 1, at num/den with den > 0.  The chain is in Z[x]: each entry
     is a positive multiple of the textbook -rem(p_(i-1), p_i) over Q, so
     the signs are the same."""
-    chain = [list(q.coeffs), list(q.derivative().coeffs)]
+    chain = [q.coeffs, q.derivative().coeffs]
     while len(chain[-1]) > 1:
         r = _rem(chain[-2], chain[-1])
         if not r:
